@@ -101,8 +101,12 @@ class TrainResult:
 
 
 def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
-             metric: str, chunk: int = 2000) -> float:
-    """Mean error over a dataset; forward passes chunked to bound memory."""
+             metric: str, chunk: int = 2000, layer1=None) -> float:
+    """Mean error over a dataset; forward passes chunked to bound memory.
+
+    ``layer1``, when given, is the first layer's pre-activation for the whole
+    dataset (examples as columns); each chunk's forward pass uses its slice.
+    """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     n = len(dataset)
@@ -110,7 +114,8 @@ def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
     for start in range(0, n, chunk):
         x = dataset.inputs[start:start + chunk].T
         y_true = dataset.targets[start:start + chunk].T
-        y = net.forward(params, arch, x).output
+        h1 = None if layer1 is None else layer1[:, start:start + chunk]
+        y = net.forward(params, arch, x, h1).output
         if metric == "mse":
             eps = y_true - y
             total += 0.5 * float(np.sum(eps * eps))
@@ -243,19 +248,12 @@ def run_suite(configs: dict[str, TrainConfig], n_runs: int,
     tasks = [(cid, replace(cfg, seed=cfg.seed + i))
              for cid, cfg in configs.items() for i in range(n_runs)]
 
-    def one(task):
-        cid, cfg = task
-        try:
-            return cid, train(cfg).final_test_error
-        except DivergenceError:
-            return cid, None
-
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_suite_task, tasks))
     else:
-        outcomes = [one(task) for task in tasks]
+        outcomes = list(map(_suite_task, tasks))
 
     rows = []
     for cid in configs:

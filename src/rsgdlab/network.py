@@ -1,10 +1,10 @@
 """Fully-connected feedforward network: forward pass, losses, backprop.
 
 Weights for layer k have shape (n_k, n_{k-1} + 1) when a bias column is used;
-the constant input 1 is appended to the previous layer's state before each
-matrix product.  Inputs may be a single vector (n1,) or a batch (n1, B) with
-examples as columns; in the batched case backward() returns the mini-batch
-average gradient.
+the last column is the bias, added to the product of the other columns with
+the previous layer's state.  Inputs may be a single vector (n1,) or a batch
+(n1, B) with examples as columns; in the batched case backward() returns the
+mini-batch average gradient.
 """
 
 from __future__ import annotations
@@ -24,18 +24,12 @@ CROSS_ENTROPY_FLOOR = 1e-12  # probability clamp before ln
 
 
 def sigmoid(x):
-    # Split by sign to avoid overflow in exp for large |x|.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 0.5 * (1 + tanh(x/2)) cannot overflow for any |x|; computed in one buffer.
+    out = np.multiply(x, 0.5, out=np.empty_like(x, dtype=np.float64))
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
-
-
-def sigmoid_derivative(x):
-    s = sigmoid(x)
-    return s * (1.0 - s)
 
 
 def relu(x):
@@ -64,12 +58,11 @@ def activation(x, kind: str):
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activation_derivative(x, kind: str):
+def _hidden_derivative(s, kind: str):
+    """Activation derivative expressed through the activation's output s."""
     if kind == "sigmoid":
-        return sigmoid_derivative(x)
-    if kind == "relu":
-        return relu_derivative(x)
-    raise ValueError(f"no element-wise derivative for activation {kind!r}")
+        return s * (1.0 - s)
+    return relu_derivative(s)  # relu(h) > 0 exactly where h > 0
 
 
 @dataclass
@@ -116,10 +109,9 @@ class Architecture:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer states and pre-activations from one forward pass."""
+    """Per-layer states from one forward pass."""
 
     states: list[Matrix]     # s^1 .. s^L (s^1 = input)
-    preacts: list[Matrix]    # h^2 .. h^L
 
     @property
     def output(self) -> Matrix:
@@ -140,28 +132,39 @@ def check_params(arch: Architecture, params: list[Matrix]) -> None:
         raise ShapeError(f"weight shapes {shapes} do not match architecture {arch.weight_shapes()}")
 
 
-def _augment(s: Matrix, use_bias: bool) -> Matrix:
+def preactivation(w: Matrix, s: Matrix, use_bias: bool) -> Matrix:
+    """w @ s, plus the bias column w[:, -1] when the layer has one."""
     if not use_bias:
-        return s
-    if s.ndim == 1:
-        return np.concatenate([s, np.ones(1)])
-    return np.concatenate([s, np.ones((1, s.shape[1]))], axis=0)
+        return w @ s
+    h = w[:, :-1] @ s
+    h += w[:, -1] if s.ndim == 1 else w[:, -1:]
+    return h
 
 
-def forward(params: list[Matrix], arch: Architecture, x: Matrix) -> ForwardTrace:
+def forward(params: list[Matrix], arch: Architecture, x: Matrix,
+            layer1: Matrix | None = None) -> ForwardTrace:
+    """States of every layer for input x.
+
+    ``layer1``, when given, is the first layer's pre-activation for x,
+    already computed by the caller; params[0] is then not applied.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != arch.n_in:
         raise ShapeError(f"input has {x.shape[0]} rows, architecture expects {arch.n_in}")
     check_params(arch, params)
+    if layer1 is not None and layer1.shape != (arch.widths[1],) + x.shape[1:]:
+        raise ShapeError(f"layer-1 pre-activation shape {layer1.shape} does not match "
+                         f"input shape {x.shape}")
     states = [x]
-    preacts = []
     last = len(params) - 1
     for k, w in enumerate(params):
-        h = w @ _augment(states[-1], arch.use_bias)
+        if k == 0 and layer1 is not None:
+            h = layer1
+        else:
+            h = preactivation(w, states[-1], arch.use_bias)
         kind = arch.output_activation if k == last else arch.hidden_activation
-        preacts.append(h)
         states.append(activation(h, kind))
-    return ForwardTrace(states=states, preacts=preacts)
+    return ForwardTrace(states=states)
 
 
 def loss(output: Matrix, target: Matrix, kind: str) -> float:
@@ -202,20 +205,25 @@ def backward(params: list[Matrix], arch: Architecture, trace: ForwardTrace,
     y = trace.output
     if target.shape != y.shape:
         raise ShapeError(f"target shape {target.shape} vs output shape {y.shape}")
-    batch = 1 if y.ndim == 1 else y.shape[1]
+    # A single example is a batch of one column: outer products become
+    # matrix products with one term each, which round identically.
+    columns = [s.reshape(s.shape[0], -1) for s in trace.states]
+    batch = columns[-1].shape[1]
 
-    kappa = _output_error_signal(arch, y, target)
+    kappa = _output_error_signal(arch, columns[-1], target.reshape(columns[-1].shape))
     grads: list[Matrix] = [None] * len(params)
     for k in range(len(params) - 1, -1, -1):
-        s_prev = _augment(trace.states[k], arch.use_bias)
-        if kappa.ndim == 1:
-            grads[k] = np.outer(kappa, s_prev)
-        else:
-            grads[k] = (kappa @ s_prev.T) / batch
+        s_prev = columns[k]
+        g = np.empty_like(params[k])
+        n = arch.widths[k]
+        np.matmul(kappa, s_prev.T, out=g[:, :n])
+        if arch.use_bias:
+            g[:, n] = kappa.sum(axis=1)
+        g /= batch
+        grads[k] = g
         if k > 0:
-            w = params[k][:, : arch.widths[k]]  # bias column does not backpropagate
-            delta = w.T @ kappa
-            kappa = delta * activation_derivative(trace.preacts[k - 1], arch.hidden_activation)
+            kappa = params[k][:, :n].T @ kappa  # bias column does not backpropagate
+            kappa *= _hidden_derivative(s_prev, arch.hidden_activation)
     return grads
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import network as net
 from .core import ShapeError
 from .data import LabeledDataset
 from .experiment import evaluate
-from .network import Architecture
 
 
 @dataclass
@@ -55,9 +55,13 @@ def bilinear_interpolate(corners, alpha: float, beta: float) -> list[np.ndarray]
     ]
 
 
-def scan_surface(corners, resolution: int, arch: Architecture,
+def scan_surface(corners, resolution: int, arch: net.Architecture,
                  dataset: LabeledDataset, metric: str = "mse") -> InterpolationGrid:
     """Evaluate the error at every point of a uniform lattice over [0,1]^2.
+
+    The first layer's pre-activation is bilinear in (alpha, beta) too, so it
+    is computed once per corner and interpolated per point like the weights;
+    only the deeper layers are evaluated from the interpolated weights.
 
     A failing evaluation marks its grid point NaN instead of aborting; the
     caller can check ``has_failures``.
@@ -65,14 +69,20 @@ def scan_surface(corners, resolution: int, arch: Architecture,
     _check_corners(corners)
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    net.check_params(arch, corners[0])
+    if dataset.n_in != arch.n_in:
+        raise ShapeError(f"dataset has {dataset.n_in} inputs, architecture expects {arch.n_in}")
+    x = dataset.inputs.T
+    # Each corner carries its layer-1 pre-activation as a last entry.
+    extended = [list(c) + [net.preactivation(c[0], x, arch.use_bias)] for c in corners]
     alphas = np.linspace(0.0, 1.0, resolution)
     betas = np.linspace(0.0, 1.0, resolution)
     values = np.empty((resolution, resolution))
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
-            params = bilinear_interpolate(corners, alpha, beta)
+            *params, layer1 = bilinear_interpolate(extended, alpha, beta)
             try:
-                values[i, j] = evaluate(params, arch, dataset, metric)
+                values[i, j] = evaluate(params, arch, dataset, metric, layer1=layer1)
             except (FloatingPointError, ValueError):
                 values[i, j] = np.nan
     return InterpolationGrid(corners=list(corners), alphas=alphas, betas=betas,

@@ -176,6 +176,12 @@ class TestSuite:
                    for i in range(3)]
         assert rows[0].metric_mean == pytest.approx(np.mean(singles), abs=1e-15)
 
+    def test_parallel_matches_serial_bit_for_bit(self):
+        configs = {"plain": toy_config(epochs=2),
+                   "rsgd": toy_config(epochs=2, optimizer="rsgd",
+                                      schedule=PowerLawSchedule(1.0, 0.5))}
+        assert run_suite(configs, n_runs=2, jobs=2) == run_suite(configs, n_runs=2, jobs=1)
+
 
 class TestCsvWriters:
     def test_metrics_csv_format(self, tmp_path):

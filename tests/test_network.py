@@ -48,9 +48,17 @@ class TestActivations:
         assert net.sigmoid(np.zeros(1))[0] == 0.5
 
     def test_sigmoid_extremes_stay_finite(self):
-        out = net.sigmoid(np.array([-1000.0, 1000.0]))
+        out = net.sigmoid(np.array([-1e4, -1000.0, 1000.0, 1e4]))
         assert np.all(np.isfinite(out))
-        assert out[0] == pytest.approx(0.0) and out[1] == pytest.approx(1.0)
+        assert out[:2] == pytest.approx(0.0) and out[2:] == pytest.approx(1.0)
+
+    def test_sigmoid_matches_logistic_formula(self):
+        x = np.linspace(-40.0, 40.0, 80_001)
+        assert np.max(np.abs(net.sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) <= 4e-16
+
+    def test_sigmoid_point_symmetry(self):
+        x = np.linspace(-40.0, 40.0, 80_001)
+        assert np.max(np.abs(net.sigmoid(-x) - (1.0 - net.sigmoid(x)))) <= 4e-16
 
     def test_relu_values_and_derivative(self):
         assert net.relu(np.array([-2.0]))[0] == 0.0
@@ -130,6 +138,18 @@ class TestForward:
         for c in range(7):
             single = net.forward(params, arch, xs[:, c]).output
             assert np.allclose(batched[:, c], single, atol=1e-14)
+
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_given_layer1_preactivation_replaces_first_product(self, use_bias):
+        arch = net.Architecture([3, 4, 2], use_bias=use_bias)
+        params, _, _ = random_case(arch, 7)
+        xs = np.random.default_rng(8).standard_normal((3, 6))
+        h1 = net.preactivation(params[0], xs, use_bias)
+        given = net.forward(params, arch, xs, h1)
+        plain = net.forward(params, arch, xs)
+        assert all(np.array_equal(p, q) for p, q in zip(given.states, plain.states))
+        with pytest.raises(ShapeError):
+            net.forward(params, arch, xs, h1[:, :5])
 
 
 class TestLoss:

@@ -93,6 +93,27 @@ class TestScanSurface:
                 y = 1.0 / (1.0 + np.exp(-w * v))
                 assert grid.values[i, j] == pytest.approx(0.5 * (target - y) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_points_match_evaluate_of_interpolated_weights(self, use_bias):
+        # 2500 examples: evaluate's forward passes run in two chunks
+        arch = net.Architecture([3, 4, 2], use_bias=use_bias)
+        corners = random_corners(arch, seed=3)
+        rng = np.random.default_rng(9)
+        ds = LabeledDataset(inputs=rng.standard_normal((2500, 3)),
+                            targets=rng.random((2500, 2)))
+        grid = scan_surface(corners, 4, arch, ds, "mse")
+        for i, alpha in enumerate(grid.alphas):
+            for j, beta in enumerate(grid.betas):
+                params = bilinear_interpolate(corners, alpha, beta)
+                direct = evaluate(params, arch, ds, "mse")
+                assert grid.values[i, j] == pytest.approx(direct, rel=1e-12, abs=0)
+
+    def test_dataset_width_mismatch_rejected(self, small_setup):
+        arch, corners, _ = small_setup
+        ds = LabeledDataset(inputs=np.zeros((5, 4)), targets=np.zeros((5, 2)))
+        with pytest.raises(ShapeError):
+            scan_surface(corners, 2, arch, ds)
+
     def test_resolution_below_two_rejected(self, small_setup):
         arch, corners, ds = small_setup
         with pytest.raises(ValueError):
