@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, suite, eval, scan-surface, analyze-memory.
-Options can come from a key=value config file (--config) and are overridden
-by explicit flags.  Every run prints its fully resolved configuration to
-stderr before executing; stdout carries only data (CSV or a single number).
+Each takes only the options it reads.  Options can come from a key=value
+config file (--config) and are overridden by explicit flags.  Every run
+prints its resolved options to stderr before executing; stdout carries only
+data (CSV or a single number).
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -21,7 +22,7 @@ from . import network as net
 from . import optim
 from . import surface as surface_mod
 from .core import RngStream
-from .experiment import (DivergenceError, TrainConfig, evaluate, run_suite,
+from .experiment import (DivergenceError, TrainConfig, _open_csv, evaluate, run_suite,
                          train, write_aggregate_csv, write_metrics_csv)
 
 
@@ -34,65 +35,53 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-TRAIN_DEFAULTS = {
-    "seed": 0,
-    "optimizer": "rsgd",
-    "schedule": "exp_gamma",
-    "gamma0": 0.9995,
-    "lambda": 0.0001,
-    "a0": 1.0,
-    "b0": 0.5,
-    "rho": None,
-    "eta0": 0.8,
-    "beta": 0.999,
-    "eta_floor": 0.02,
-    "batch": 100,
-    "epochs": 100,
-    "train_count": 1000,
-    "test_count": 1000,
-    "arch": "100-400-200-10",
-    "activation": "sigmoid",
-    "loss": "quadratic",
-    "metric": "mse",
-    "checkpoint_epochs": "",
-    "mnist_images": None,
-    "mnist_labels": None,
-    "data_train": None,
-    "data_test": None,
-    "out": None,
+def momentum(value: str) -> float | str:
+    """A --rho value: a number, or 'adaptive' for rho_t = gamma(t)."""
+    return value if value == "adaptive" else float(value)
+
+
+# key -> (default, argparse keywords); the flag is the key with '-' for '_'.
+OPTIONS = {
+    "seed": (0, {"type": int}),
+    "optimizer": ("rsgd", {"choices": ["backprop", "rsgd", "sgdm", "nag", "adam"]}),
+    "schedule": ("exp_gamma", {"choices": ["exp_gamma", "power_law"]}),
+    "gamma0": (0.9995, {"type": float}),
+    "lambda": (0.0001, {"type": float}),
+    "a0": (1.0, {"type": float}),
+    "b0": (0.5, {"type": float}),
+    "rho": (None, {"type": momentum, "help": "momentum parameter (a number, or 'adaptive')"}),
+    "eta0": (0.8, {"type": float}),
+    "beta": (0.999, {"type": float}),
+    "eta_floor": (0.02, {"type": float}),
+    "batch": (100, {"type": int}),
+    "epochs": (100, {"type": int}),
+    "train_count": (1000, {"type": int}),
+    "test_count": (1000, {"type": int}),
+    "arch": ("100-400-200-10", {"help": "layer widths, e.g. 100-400-200-10"}),
+    "activation": ("sigmoid", {"choices": ["sigmoid", "relu"]}),
+    "loss": ("quadratic", {"choices": ["quadratic", "cross-entropy"]}),
+    "metric": ("mse", {"choices": ["mse", "classification"]}),
+    "checkpoint_epochs": ("", {"help": "comma-separated epoch list"}),
+    "mnist_images": (None, {}),
+    "mnist_labels": (None, {}),
+    "data_train": (None, {}),
+    "data_test": (None, {}),
+    "out": (None, {}),
 }
+
+# The options each subcommand reads (train and suite read them all).
+EVAL_KEYS = ("metric", "mnist_images", "mnist_labels", "data_train", "data_test")
+SCAN_KEYS = EVAL_KEYS + ("out",)
+MEMORY_KEYS = ("seed", "schedule", "gamma0", "lambda", "a0", "b0", "out")
 
 ADAM_ETA0 = 0.01
 ADAM_FLOOR = 0.001
 
 
-def _add_train_options(p: _Parser):
+def _add_options(p: _Parser, keys):
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--optimizer", choices=["backprop", "rsgd", "sgdm", "nag", "adam"])
-    p.add_argument("--schedule", choices=["exp_gamma", "power_law"])
-    p.add_argument("--gamma0", type=float)
-    p.add_argument("--lambda", dest="lambda_", type=float)
-    p.add_argument("--a0", type=float)
-    p.add_argument("--b0", type=float)
-    p.add_argument("--rho", help="momentum parameter (a number, or 'adaptive')")
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eta-floor", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--train-count", type=int)
-    p.add_argument("--test-count", type=int)
-    p.add_argument("--arch", help="layer widths, e.g. 100-400-200-10")
-    p.add_argument("--activation", choices=["sigmoid", "relu"])
-    p.add_argument("--loss", choices=["quadratic", "cross-entropy"])
-    p.add_argument("--metric", choices=["mse", "classification"])
-    p.add_argument("--checkpoint-epochs", help="comma-separated epoch list")
-    p.add_argument("--mnist-images")
-    p.add_argument("--mnist-labels")
-    p.add_argument("--data-train")
-    p.add_argument("--data-test")
-    p.add_argument("--out")
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, **OPTIONS[key][1])
 
 
 def _read_config_file(path) -> dict:
@@ -109,45 +98,48 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _coerce(key, value):
-    if value is None or not isinstance(value, str):
-        return value
-    kind = type(TRAIN_DEFAULTS.get(key, ""))
-    if TRAIN_DEFAULTS.get(key) is None or kind is str:
-        return value
-    if kind is int:
-        return int(value)
-    if kind is float:
-        return float(value)
-    return value
+def _coerce(key, value: str):
+    try:
+        return OPTIONS[key][1].get("type", str)(value)
+    except ValueError:
+        raise ValueError(f"bad {key} value {value!r}") from None
 
 
-def _resolve_options(args) -> dict:
-    opts = dict(TRAIN_DEFAULTS)
-    if getattr(args, "config", None):
-        for key, value in _read_config_file(args.config).items():
-            if key not in TRAIN_DEFAULTS:
-                raise UsageError(f"unknown config key {key!r}")
-            opts[key] = _coerce(key, value)
-    flag_map = {name: name for name in TRAIN_DEFAULTS}
-    flag_map["lambda_"] = "lambda"
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            opts[key] = value
-    return opts
+def _prepare(args, keys, build=None):
+    """Resolve a subcommand's options and build what it runs from them.
+
+    Flags override the --config file, which overrides the defaults; the file
+    may carry keys that other subcommands read.  This is the one place where
+    a bad option value, a ValueError from a conversion or a constructor,
+    becomes a usage error.
+    """
+    try:
+        opts = {key: OPTIONS[key][0] for key in keys}
+        if args.config:
+            for key, value in _read_config_file(args.config).items():
+                if key not in OPTIONS:
+                    raise UsageError(f"unknown config key {key!r}")
+                if key in opts:
+                    opts[key] = _coerce(key, value)
+        for key in keys:
+            if getattr(args, key) is not None:
+                opts[key] = getattr(args, key)
+        print(f"# resolved configuration ({args.command})", file=sys.stderr)
+        for key in sorted(opts):
+            print(f"# {key} = {opts[key]}", file=sys.stderr)
+        return opts, build(opts) if build else None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _print_resolved(opts: dict, command: str):
-    print(f"# resolved configuration ({command})", file=sys.stderr)
-    for key in sorted(opts):
-        print(f"# {key} = {opts[key]}", file=sys.stderr)
+def _metric(opts) -> str:
+    return "classification_error" if opts["metric"] == "classification" else opts["metric"]
 
 
 def _build_schedule(opts) -> optim.Schedule:
     if opts["schedule"] == "power_law":
-        return optim.PowerLawSchedule(a0=float(opts["a0"]), b0=float(opts["b0"]))
-    return optim.ExpGammaSchedule(gamma0=float(opts["gamma0"]), lam=float(opts["lambda"]))
+        return optim.PowerLawSchedule(a0=opts["a0"], b0=opts["b0"])
+    return optim.ExpGammaSchedule(gamma0=opts["gamma0"], lam=opts["lambda"])
 
 
 def _parse_arch_opts(opts) -> net.Architecture:
@@ -174,31 +166,21 @@ def _dataset_source(opts) -> tuple:
 
 
 def _build_train_config(opts) -> TrainConfig:
-    arch = _parse_arch_opts(opts)
     optimizer = opts["optimizer"]
-    schedule = None
-    rho = None
-    if optimizer == "rsgd" or opts["rho"] == "adaptive":
-        schedule = _build_schedule(opts)
-    if optimizer in ("sgdm", "nag"):
-        if opts["rho"] is None:
-            raise UsageError(f"{optimizer} requires --rho (a number or 'adaptive')")
-        rho = opts["rho"] if opts["rho"] == "adaptive" else float(opts["rho"])
-    eta0, floor = float(opts["eta0"]), float(opts["eta_floor"])
-    if optimizer == "adam" and eta0 == TRAIN_DEFAULTS["eta0"]:
+    uses_schedule = optimizer == "rsgd" or opts["rho"] == "adaptive"
+    eta0, floor = opts["eta0"], opts["eta_floor"]
+    if optimizer == "adam" and eta0 == OPTIONS["eta0"][0]:
         eta0, floor = ADAM_ETA0, ADAM_FLOOR  # paper's Adam step sizes unless overridden
-    ckpt = tuple(int(e) for e in str(opts["checkpoint_epochs"]).split(",") if e != "")
-    metric = "classification_error" if opts["metric"] == "classification" else opts["metric"]
-    try:
-        return TrainConfig(
-            architecture=arch, optimizer=optimizer, schedule=schedule, rho=rho,
-            eta0=eta0, beta=float(opts["beta"]), eta_floor=floor,
-            batch_size=int(opts["batch"]), epochs=int(opts["epochs"]),
-            train_count=int(opts["train_count"]), test_count=int(opts["test_count"]),
-            seed=int(opts["seed"]), dataset_source=_dataset_source(opts),
-            checkpoint_epochs=ckpt, metric=metric)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    ckpt = tuple(int(e) for e in opts["checkpoint_epochs"].split(",") if e != "")
+    return TrainConfig(
+        architecture=_parse_arch_opts(opts), optimizer=optimizer,
+        schedule=_build_schedule(opts) if uses_schedule else None,
+        rho=opts["rho"] if optimizer in ("sgdm", "nag") else None,
+        eta0=eta0, beta=opts["beta"], eta_floor=floor,
+        batch_size=opts["batch"], epochs=opts["epochs"],
+        train_count=opts["train_count"], test_count=opts["test_count"],
+        seed=opts["seed"], dataset_source=_dataset_source(opts),
+        checkpoint_epochs=ckpt, metric=_metric(opts))
 
 
 def _cmd_gen_data(args) -> int:
@@ -214,9 +196,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    opts = _resolve_options(args)
-    _print_resolved(opts, "train")
-    config = _build_train_config(opts)
+    opts, config = _prepare(args, OPTIONS, _build_train_config)
     result = train(config)
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
@@ -232,18 +212,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_suite(args) -> int:
-    opts = _resolve_options(args)
-    _print_resolved(opts, "suite")
-    optimizers = [o.strip() for o in args.optimizers.split(",")] if args.optimizers \
-        else [opts["optimizer"]]
+def _suite_configs(opts, optimizers) -> dict[str, TrainConfig]:
     configs = {}
-    for name in optimizers:
-        per = dict(opts)
-        per["optimizer"] = name
+    for name in optimizers or [opts["optimizer"]]:
+        per = dict(opts, optimizer=name)
         if name == "adam":
-            per["eta0"] = TRAIN_DEFAULTS["eta0"]  # let the Adam default kick in
+            per["eta0"] = OPTIONS["eta0"][0]  # let the Adam default kick in
         configs[name] = _build_train_config(per)
+    return configs
+
+
+def _cmd_suite(args) -> int:
+    optimizers = [o.strip() for o in args.optimizers.split(",")] if args.optimizers else None
+    opts, configs = _prepare(args, OPTIONS, lambda o: _suite_configs(o, optimizers))
     rows = run_suite(configs, n_runs=args.runs, jobs=args.jobs)
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
@@ -253,28 +234,24 @@ def _cmd_suite(args) -> int:
     return 0
 
 
-def _load_eval_dataset(opts, which="data_test"):
-    source = _dataset_source(opts)
-    if source[0] == "mnist":
-        return data_mod.load_mnist_idx(source[1], source[2])
-    if source[0] == "files":
-        return data_mod.load_dataset(opts[which])
+def _load_eval_dataset(opts):
+    """The set eval and scan-surface score on; --data-train is accepted but unread."""
+    if opts["mnist_images"] or opts["mnist_labels"]:
+        return data_mod.load_mnist_idx(*_dataset_source(opts)[1:])
+    if opts["data_test"]:
+        return data_mod.load_dataset(opts["data_test"])
     raise UsageError("eval and scan-surface need --data-test or --mnist-images/--mnist-labels")
 
 
 def _cmd_eval(args) -> int:
-    opts = _resolve_options(args)
-    _print_resolved(opts, "eval")
+    opts, _ = _prepare(args, EVAL_KEYS)
     arch, params = net.load_checkpoint(args.checkpoint)
-    dataset = _load_eval_dataset(opts)
-    metric = "classification_error" if opts["metric"] == "classification" else opts["metric"]
-    print(evaluate(params, arch, dataset, metric))
+    print(evaluate(params, arch, _load_eval_dataset(opts), _metric(opts)))
     return 0
 
 
 def _cmd_scan_surface(args) -> int:
-    opts = _resolve_options(args)
-    _print_resolved(opts, "scan-surface")
+    opts, _ = _prepare(args, SCAN_KEYS)
     paths = args.checkpoints.split(",")
     if len(paths) != 4:
         raise UsageError(f"--checkpoints needs exactly 4 paths, got {len(paths)}")
@@ -282,8 +259,7 @@ def _cmd_scan_surface(args) -> int:
     arch = loaded[0][0]
     corners = [params for _, params in loaded]
     dataset = _load_eval_dataset(opts)
-    metric = "classification_error" if opts["metric"] == "classification" else opts["metric"]
-    grid = surface_mod.scan_surface(corners, args.resolution, arch, dataset, metric)
+    grid = surface_mod.scan_surface(corners, args.resolution, arch, dataset, _metric(opts))
     surface_mod.write_surface_csv(opts["out"] or sys.stdout, grid)
     if grid.has_failures:
         print("# warning: some grid points failed to evaluate (NaN markers)", file=sys.stderr)
@@ -292,20 +268,14 @@ def _cmd_scan_surface(args) -> int:
 
 
 def _cmd_analyze_memory(args) -> int:
-    opts = _resolve_options(args)
-    _print_resolved(opts, "analyze-memory")
-    schedule = _build_schedule(opts)
+    opts, schedule = _prepare(args, MEMORY_KEYS, _build_schedule)
     pmf = optim.memory_length_pmf(schedule, args.t)
-    out = open(opts["out"], "w") if opts["out"] else sys.stdout
-    try:
+    with _open_csv(opts["out"] or sys.stdout) as out:
         out.write("length,probability\n")
         for length, prob in enumerate(pmf):
             out.write(f"{length},{float(prob)!r}\n")
-    finally:
-        if opts["out"]:
-            out.close()
     if args.simulate:
-        rng = RngStream(int(opts["seed"]), "reinforcement")
+        rng = RngStream(opts["seed"], "reinforcement")
         empirical = optim.simulate_memory_length(schedule, args.t, args.simulate, rng)
         tv = 0.5 * float(np.abs(empirical - pmf).sum())
         print(f"# simulated {args.simulate} runs: total-variation distance {tv:.5f}",
@@ -327,29 +297,29 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="run one training experiment")
-    _add_train_options(p)
+    _add_options(p, OPTIONS)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("suite", help="multi-seed aggregation across optimizers")
-    _add_train_options(p)
+    _add_options(p, OPTIONS)
     p.add_argument("--optimizers", help="comma-separated optimizer list")
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _add_train_options(p)
+    _add_options(p, EVAL_KEYS)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("scan-surface", help="bilinear-interpolation error surface scan")
-    _add_train_options(p)
+    _add_options(p, SCAN_KEYS)
     p.add_argument("--checkpoints", required=True, help="4 comma-separated checkpoint paths")
     p.add_argument("--resolution", type=int, default=41)
     p.set_defaults(func=_cmd_scan_surface)
 
     p = sub.add_parser("analyze-memory", help="memory-length distribution of the reinforced rule")
-    _add_train_options(p)
+    _add_options(p, MEMORY_KEYS)
     p.add_argument("--t", type=int, required=True, help="step at which to evaluate the distribution")
     p.add_argument("--simulate", type=int, default=0,
                    help="also simulate this many coin-process runs and report TV distance")

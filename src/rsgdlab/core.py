@@ -1,4 +1,4 @@
-"""Dense matrix helpers and labeled, reproducible random streams.
+"""Shared types, an exact binary read, and labeled, reproducible random streams.
 
 All numerical state in this package is float64 numpy arrays.  Randomness is
 funneled through :class:`RngStream` so that every consumer (weight init, data
@@ -10,6 +10,7 @@ reinforcement coins.
 
 from __future__ import annotations
 
+import os
 import zlib
 
 import numpy as np
@@ -19,6 +20,18 @@ Matrix = np.ndarray
 
 class ShapeError(ValueError):
     """Raised when matrix operands have incompatible shapes."""
+
+
+def read_exact(f, size: int, path) -> bytes:
+    """The next ``size`` bytes of binary file ``f``; ValueError if it ends first.
+
+    The length is checked against the file before reading, so a corrupt size
+    field never asks for more memory than the file holds.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError(f"{path}: truncated file, expected {size} more bytes, {left} left")
+    return f.read(size)
 
 
 def _stream_key(stream_id: str) -> int:
@@ -52,11 +65,6 @@ class RngStream:
     def uniform(self, shape) -> Matrix:
         return self._gen.random(shape)
 
-    def bernoulli(self, p: float) -> bool:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability must lie in [0, 1], got {p}")
-        return bool(self._gen.random() < p)
-
     def bernoulli_matrix(self, p: float, shape) -> np.ndarray:
         """One coin per component, drawn in row-major order."""
         if not 0.0 <= p <= 1.0:
@@ -69,22 +77,3 @@ class RngStream:
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
 
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise ShapeError(f"element-wise product needs equal shapes, got {a.shape} vs {b.shape}")
-    return a * b
-
-
-def gaussian_matrix(rows: int, cols: int, mean: float, std: float, rng: RngStream) -> Matrix:
-    return rng.normal(rows, cols, mean=mean, std=std)
-
-
-def bernoulli(p: float, rng: RngStream) -> bool:
-    return rng.bernoulli(p)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, read_exact
 from .network import sigmoid
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -188,11 +188,9 @@ def load_dataset(path) -> LabeledDataset:
     with open(path, "rb") as f:
         if f.read(len(_DS_MAGIC)) != _DS_MAGIC:
             raise ValueError(f"{path}: not a dataset file (bad magic)")
-        n_in, n_out, count = struct.unpack("<III", f.read(12))
-        inputs = np.frombuffer(f.read(8 * count * n_in), dtype="<f8")
-        targets = np.frombuffer(f.read(8 * count * n_out), dtype="<f8")
-        if inputs.size != count * n_in or targets.size != count * n_out:
-            raise ValueError(f"{path}: truncated dataset payload")
+        n_in, n_out, count = struct.unpack("<III", read_exact(f, 12, path))
+        inputs = np.frombuffer(read_exact(f, 8 * count * n_in, path), dtype="<f8")
+        targets = np.frombuffer(read_exact(f, 8 * count * n_out, path), dtype="<f8")
         return LabeledDataset(
             inputs=inputs.reshape(count, n_in).copy(),
             targets=targets.reshape(count, n_out).copy(),

@@ -8,6 +8,7 @@ reinforcement coins live on their own stream).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import time
 from dataclasses import dataclass, field, replace
@@ -277,33 +278,29 @@ def _suite_task(task):
         return cid, None
 
 
+@contextlib.contextmanager
 def _open_csv(dest):
+    """Yield ``dest`` if it is an open file, else a new file at that path, closed after."""
     if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w", newline=""), True
+        yield dest
+    else:
+        with open(dest, "w", newline="") as f:
+            yield f
 
 
 def write_metrics_csv(dest, history: list[MetricsRecord]) -> None:
-    f, close = _open_csv(dest)
-    try:
+    with _open_csv(dest) as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_CSV_HEADER)
         for r in history:
             writer.writerow([r.epoch, repr(r.train_error), repr(r.test_error),
                              repr(r.eta), repr(r.gamma), f"{r.wall_time_s:.6f}"])
-    finally:
-        if close:
-            f.close()
 
 
 def write_aggregate_csv(dest, rows: list[SuiteRow]) -> None:
-    f, close = _open_csv(dest)
-    try:
+    with _open_csv(dest) as f:
         writer = csv.writer(f)
         writer.writerow(AGGREGATE_CSV_HEADER)
         for r in rows:
             writer.writerow([r.config_id, repr(r.metric_mean), repr(r.metric_std),
                              r.n_runs, r.n_diverged])
-    finally:
-        if close:
-            f.close()

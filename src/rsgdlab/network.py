@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, RngStream, ShapeError
+from .core import Matrix, RngStream, ShapeError, read_exact
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "relu")
 OUTPUT_ACTIVATIONS = ("sigmoid", "softmax")
@@ -256,20 +256,18 @@ def load_checkpoint(path) -> tuple[Architecture, list[Matrix]]:
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        version, n_layers = struct.unpack("<II", f.read(8))
+        version, n_layers = struct.unpack("<II", read_exact(f, 8, path))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        widths = list(struct.unpack(f"<{n_layers}I", f.read(4 * n_layers)))
-        h_act, o_act, loss_code, bias_flag = struct.unpack("<BBBB", f.read(4))
-        arch = Architecture(widths=widths,
-                            hidden_activation=_ACT_NAMES[h_act],
-                            output_activation=_ACT_NAMES[o_act],
-                            loss=_LOSS_NAMES[loss_code],
+        widths = list(struct.unpack(f"<{n_layers}I", read_exact(f, 4 * n_layers, path)))
+        h_act, o_act, loss_code, bias_flag = struct.unpack("<BBBB", read_exact(f, 4, path))
+        try:
+            names = _ACT_NAMES[h_act], _ACT_NAMES[o_act], _LOSS_NAMES[loss_code]
+        except KeyError as exc:
+            raise ValueError(f"{path}: unknown activation or loss code {exc.args[0]}") from None
+        arch = Architecture(widths=widths, hidden_activation=names[0],
+                            output_activation=names[1], loss=names[2],
                             use_bias=bool(bias_flag))
-        params = []
-        for rows, cols in arch.weight_shapes():
-            raw = f.read(8 * rows * cols)
-            if len(raw) != 8 * rows * cols:
-                raise ValueError(f"{path}: truncated checkpoint payload")
-            params.append(np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy())
+        params = [np.frombuffer(read_exact(f, 8 * rows * cols, path), dtype="<f8")
+                  .reshape(rows, cols).copy() for rows, cols in arch.weight_shapes()]
         return arch, params

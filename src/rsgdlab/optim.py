@@ -61,17 +61,6 @@ class PowerLawSchedule:
 Schedule = ExpGammaSchedule | PowerLawSchedule
 
 
-def gamma_at(schedule: Schedule, t: int, t_ep: int = 0) -> float:
-    if t < 0 or t_ep < 0:
-        raise ValueError("t and t_ep must be non-negative")
-    return schedule.gamma(t, t_ep)
-
-
-def reinforcement_timescale(schedule: ExpGammaSchedule, t_ep: int = 0) -> float:
-    """Characteristic rise time of gamma(t) = 1 - e^(-t/tau)."""
-    return -1.0 / (np.log(schedule.gamma0) - schedule.lam * t_ep)
-
-
 # --- optimizers ----------------------------------------------------------
 
 def _zeros_like(template: list[Matrix]) -> list[Matrix]:
@@ -143,7 +132,7 @@ class Sgdm:
         return [-eta * v for v in self.velocity]
 
 
-class Nag:
+class Nag(Sgdm):
     """Nesterov momentum: gradient evaluated after a partial look-ahead update.
 
     ``gradient_oracle`` maps a parameter list to the current mini-batch
@@ -151,20 +140,7 @@ class Nag:
     call count is exposed for cost accounting.
     """
 
-    def __init__(self, shapes_template: list[Matrix], rho: float | str,
-                 schedule: Schedule | None = None):
-        if rho == "adaptive" and schedule is None:
-            raise ValueError("adaptive momentum needs a schedule")
-        self.velocity = _zeros_like(shapes_template)
-        self.rho = rho
-        self.schedule = schedule
-        self.t = 0
-        self.oracle_calls = 0
-
-    def _rho_at(self, t_ep: int) -> float:
-        if self.rho == "adaptive":
-            return self.schedule.gamma(self.t, t_ep)
-        return float(self.rho)
+    oracle_calls = 0
 
     def step(self, params: list[Matrix], eta: float, gradient_oracle,
              t_ep: int = 0) -> list[Matrix]:
@@ -176,7 +152,7 @@ class Nag:
         _check_congruent(self.velocity, grads)
         self.velocity = [rho * v - eta * g for v, g in zip(self.velocity, grads)]
         self.t += 1
-        return [v.copy() for v in self.velocity]
+        return list(self.velocity)
 
 
 class Adam:

@@ -17,7 +17,7 @@ import numpy as np
 from . import network as net
 from .core import ShapeError
 from .data import LabeledDataset
-from .experiment import evaluate
+from .experiment import _open_csv, evaluate
 
 
 @dataclass
@@ -90,14 +90,10 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
 
 
 def write_surface_csv(dest, grid: InterpolationGrid) -> None:
-    f = dest if hasattr(dest, "write") else open(dest, "w", newline="")
-    try:
+    with _open_csv(dest) as f:
         writer = csv.writer(f)
         writer.writerow(["alpha", "beta", "error"])
         for i, alpha in enumerate(grid.alphas):
             for j, beta in enumerate(grid.betas):
                 writer.writerow([repr(float(alpha)), repr(float(beta)),
                                  repr(float(grid.values[i, j]))])
-    finally:
-        if f is not dest:
-            f.close()

@@ -123,6 +123,35 @@ class TestEvalAndSurface:
         assert code == 0
         assert np.isfinite(float(stdout.strip()))
 
+    def test_eval_reads_only_the_test_set(self, trained, capsys):
+        tmp_path, data_dir, out = trained
+        code, stdout, _ = run_cli(capsys, "eval",
+                                  "--checkpoint", str(out / "final.ckpt"),
+                                  "--data-test", str(data_dir / "test.bin"))
+        assert code == 0
+        assert np.isfinite(float(stdout.strip()))
+
+    @pytest.mark.parametrize("corrupt", ["short_checkpoint", "short_dataset", "activation_code"])
+    def test_corrupt_input_file_exits_2(self, trained, capsys, corrupt):
+        tmp_path, data_dir, out = trained
+        ckpt, test_set = out / "final.ckpt", data_dir / "test.bin"
+        bad = tmp_path / "bad"
+        if corrupt == "short_checkpoint":
+            bad.write_bytes(ckpt.read_bytes()[:10])
+            ckpt = bad
+        elif corrupt == "short_dataset":
+            bad.write_bytes(test_set.read_bytes()[:14])
+            test_set = bad
+        else:
+            data = bytearray(ckpt.read_bytes())
+            data[24] = 9  # hidden activation code of a 3-layer checkpoint
+            bad.write_bytes(bytes(data))
+            ckpt = bad
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                               "--data-test", str(test_set))
+        assert code == 2
+        assert err.strip().splitlines()[-1].startswith("error:")
+
     def test_scan_surface_csv(self, trained, capsys):
         tmp_path, data_dir, out = trained
         ckpts = ",".join(str(out / f"epoch_{e:04d}.ckpt") for e in (0, 1, 2, 3))
@@ -153,3 +182,38 @@ class TestAnalyzeMemory:
                                "--simulate", "2000", "--seed", "1")
         assert code == 0
         assert "total-variation" in err
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--optimizer", "sgdm", "--rho", "abc"],
+        ["train", "--arch", "4-0-3"],
+        ["train", "--schedule", "power_law", "--a0", "-1"],
+        ["train", "--gamma0", "0"],
+        ["analyze-memory", "--gamma0", "0", "--t", "5"],
+        ["train", "--config", "{cfg}"],
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epochs = abc\n")
+        code, _, err = run_cli(capsys, *(a.format(cfg=cfg) for a in argv))
+        assert code == 1
+        assert err.strip().splitlines()[-1].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "c.ckpt", "--epochs", "3"],
+        ["scan-surface", "--checkpoints", "a,b,c,d", "--optimizer", "nag"],
+        ["analyze-memory", "--t", "5", "--arch", "foo"],
+    ])
+    def test_flag_of_another_subcommand_rejected(self, capsys, argv):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 1
+
+    def test_config_keys_of_other_subcommands_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("arch = 4-6-3\nepochs = 2\nschedule = power_law\n")
+        code, _, err = run_cli(capsys, "analyze-memory", "--config", str(cfg), "--t", "5")
+        assert code == 0
+        keys = [line.split(" = ")[0][2:] for line in err.splitlines() if " = " in line]
+        assert keys == ["a0", "b0", "gamma0", "lambda", "out", "schedule", "seed"]
+        assert "# schedule = power_law" in err

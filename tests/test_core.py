@@ -1,75 +1,31 @@
 import numpy as np
 import pytest
 
-from rsgdlab.core import (RngStream, ShapeError, bernoulli, gaussian_matrix,
-                          hadamard, matmul)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_annihilator(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(matmul(a, np.zeros((3, 2))), np.zeros((2, 2)))
-
-    def test_hand_computed(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(11)
-        a, b, c = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (5, 2))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        rel = np.linalg.norm(left - right) / np.linalg.norm(left)
-        assert rel < 1e-10
-
-
-class TestHadamard:
-    def test_ones_and_zeros(self):
-        a = np.array([[1.5, -2.0], [0.25, 3.0]])
-        assert np.array_equal(hadamard(a, np.ones_like(a)), a)
-        assert np.array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-    def test_hand_computed(self):
-        assert np.array_equal(
-            hadamard(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])),
-            np.array([[3.0, 8.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.zeros((2, 2)), np.zeros((2, 3)))
+from rsgdlab.core import RngStream
 
 
 class TestGaussian:
     def test_zero_std_collapses_to_mean(self):
-        m = gaussian_matrix(4, 5, mean=2.5, std=0.0, rng=RngStream(1, "weight-init"))
+        m = RngStream(1, "weight-init").normal(4, 5, mean=2.5, std=0.0)
         assert np.array_equal(m, np.full((4, 5), 2.5))
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_matrix(2, 2, 0.0, -1.0, RngStream(1, "weight-init"))
+            RngStream(1, "weight-init").normal(2, 2, 0.0, -1.0)
 
     def test_sample_statistics(self):
-        m = gaussian_matrix(1000, 1000, mean=0.0, std=1.0, rng=RngStream(2, "data-gen"))
+        m = RngStream(2, "data-gen").normal(1000, 1000, mean=0.0, std=1.0)
         assert abs(m.mean()) < 4.0 / np.sqrt(1e6)
         assert abs(m.var() - 1.0) < 0.01
 
     def test_determinism(self):
-        a = gaussian_matrix(6, 7, 0.0, 1.0, RngStream(9, "weight-init"))
-        b = gaussian_matrix(6, 7, 0.0, 1.0, RngStream(9, "weight-init"))
+        a = RngStream(9, "weight-init").normal(6, 7, 0.0, 1.0)
+        b = RngStream(9, "weight-init").normal(6, 7, 0.0, 1.0)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = gaussian_matrix(6, 7, 0.0, 1.0, RngStream(9, "weight-init"))
-        b = gaussian_matrix(6, 7, 0.0, 1.0, RngStream(9, "data-gen"))
+        a = RngStream(9, "weight-init").normal(6, 7, 0.0, 1.0)
+        b = RngStream(9, "data-gen").normal(6, 7, 0.0, 1.0)
         assert not np.allclose(a, b)
 
 
@@ -77,14 +33,14 @@ class TestBernoulli:
     def test_degenerate_probabilities(self):
         rng0 = RngStream(3, "reinforcement")
         rng1 = RngStream(3, "reinforcement")
-        assert not any(bernoulli(0.0, rng0) for _ in range(100))
-        assert all(bernoulli(1.0, rng1) for _ in range(100))
+        assert not rng0.bernoulli_matrix(0.0, 100).any()
+        assert rng1.bernoulli_matrix(1.0, 100).all()
 
     def test_out_of_range_rejected(self):
         rng = RngStream(3, "reinforcement")
         for bad in (-0.1, 1.1):
             with pytest.raises(ValueError):
-                bernoulli(bad, rng)
+                rng.bernoulli_matrix(bad, 3)
 
     def test_empirical_rate(self):
         rng = RngStream(5, "reinforcement")

@@ -169,3 +169,14 @@ class TestDatasetContainer:
         path.write_bytes(b"NOTADATA" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_dataset(path)
+
+    def test_every_truncation_raises_value_error(self, tmp_path):
+        train, _ = generate_teacher_dataset(3, 2, 8, RngStream(4, "data-gen"))
+        full = tmp_path / "full.bin"
+        save_dataset(full, train)
+        data = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError):
+                load_dataset(cut)

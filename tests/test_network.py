@@ -246,3 +246,26 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             net.load_checkpoint(path)
+
+    def _saved(self, tmp_path):
+        arch = net.Architecture([3, 5, 2])
+        path = tmp_path / "net.ckpt"
+        net.save_checkpoint(path, arch, net.init_params(arch, RngStream(12, "weight-init")))
+        return path.read_bytes()
+
+    def test_every_truncation_raises_value_error(self, tmp_path):
+        data = self._saved(tmp_path)
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError):
+                net.load_checkpoint(cut)
+
+    @pytest.mark.parametrize("offset", [24, 25, 26])  # hidden, output, loss code of 3 layers
+    def test_unknown_code_rejected(self, tmp_path, offset):
+        data = bytearray(self._saved(tmp_path))
+        data[offset] = 9
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="unknown activation or loss code 9"):
+            net.load_checkpoint(path)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from rsgdlab import optim
 from rsgdlab.core import RngStream, ShapeError
 from rsgdlab.optim import (Adam, ExpGammaSchedule, Nag, PowerLawSchedule,
-                           Rsgd, Sgdm, VanillaSgd, gamma_at, memory_length_pmf,
+                           Rsgd, Sgdm, VanillaSgd, memory_length_pmf,
                            sgdm_unfold, simulate_memory_length)
 
 
@@ -14,17 +13,17 @@ def template(*shapes):
 
 class TestSchedules:
     def test_exp_gamma_starts_at_zero(self):
-        assert gamma_at(ExpGammaSchedule(0.99, 0.0), 0) == 0.0
+        assert ExpGammaSchedule(0.99, 0.0).gamma(0) == 0.0
 
     def test_degenerate_exp_gamma_always_zero(self):
         sched = ExpGammaSchedule(1.0, 0.0)
-        assert all(gamma_at(sched, t) == 0.0 for t in (0, 1, 10, 10_000))
+        assert all(sched.gamma(t) == 0.0 for t in (0, 1, 10, 10_000))
 
     def test_power_law_hand_value(self):
-        assert gamma_at(PowerLawSchedule(1.0, 0.5), 3) == pytest.approx(0.5)
+        assert PowerLawSchedule(1.0, 0.5).gamma(3) == pytest.approx(0.5)
 
     def test_power_law_clamped_for_large_a0(self):
-        assert gamma_at(PowerLawSchedule(100.0, 0.5), 0) == 0.0
+        assert PowerLawSchedule(100.0, 0.5).gamma(0) == 0.0
 
     @pytest.mark.parametrize("sched", [
         ExpGammaSchedule(0.9995, 0.0001),
@@ -33,7 +32,7 @@ class TestSchedules:
         PowerLawSchedule(2.0, 0.3),
     ])
     def test_monotone_and_bounded(self, sched):
-        values = [gamma_at(sched, t, 0) for t in range(0, 2000, 7)]
+        values = [sched.gamma(t, 0) for t in range(0, 2000, 7)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -44,13 +43,6 @@ class TestSchedules:
             ExpGammaSchedule(0.9, -1.0)
         with pytest.raises(ValueError):
             PowerLawSchedule(0.0, 0.5)
-
-    def test_timescale_matches_closed_form(self):
-        sched = ExpGammaSchedule(0.99, 0.0)
-        tau = optim.reinforcement_timescale(sched)
-        # gamma(t) = 1 - e^(-t/tau) must reproduce 1 - gamma0^t
-        for t in (1, 10, 100):
-            assert gamma_at(sched, t) == pytest.approx(1 - np.exp(-t / tau), rel=1e-12)
 
 
 class TestRsgd:
