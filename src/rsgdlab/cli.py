@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: gen-data, train, suite, eval, scan-surface, analyze-memory.
-Each takes only the options it reads.  Options can come from a key=value
-config file (--config) and are overridden by explicit flags.  Every run
-prints its resolved options to stderr before executing; stdout carries only
-data (CSV or a single number).
+Subcommands: gen-data, train, suite, eval, scan-surface, analyze-memory, each
+with only the options it reads.  A key=value config file (--config) becomes
+flags ahead of the command line's own, so its values pass the same checks and
+explicit flags override them.  Resolved options go to stderr; stdout carries
+only data (CSV or a single number).
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -40,28 +40,52 @@ def momentum(value: str) -> float | str:
     return value if value == "adaptive" else float(value)
 
 
+def name(value: str) -> str:
+    """A choice value; '-' and '_' are interchangeable."""
+    return value.replace("-", "_")
+
+
+def widths(value: str) -> tuple[int, ...]:
+    """An --arch value: layer widths joined by '-'."""
+    return tuple(int(w) for w in value.split("-"))
+
+
+def epoch_list(value: str) -> tuple[int, ...]:
+    """A --checkpoint-epochs value: comma-separated epochs."""
+    return tuple(int(e) for e in value.split(",") if e != "")
+
+
+def at_least(low: int):
+    """The argparse type of an integer count that must be >= ``low``."""
+    def count(value: str) -> int:
+        if int(value) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return int(value)
+    return count
+
+
 # key -> (default, argparse keywords); the flag is the key with '-' for '_'.
 OPTIONS = {
     "seed": (0, {"type": int}),
-    "optimizer": ("rsgd", {"choices": ["backprop", "rsgd", "sgdm", "nag", "adam"]}),
-    "schedule": ("exp_gamma", {"choices": ["exp_gamma", "power_law"]}),
+    "optimizer": ("rsgd", {"type": name, "choices": ["backprop", "rsgd", "sgdm", "nag", "adam"]}),
+    "schedule": ("exp_gamma", {"type": name, "choices": ["exp_gamma", "power_law"]}),
     "gamma0": (0.9995, {"type": float}),
     "lambda": (0.0001, {"type": float}),
     "a0": (1.0, {"type": float}),
     "b0": (0.5, {"type": float}),
     "rho": (None, {"type": momentum, "help": "momentum parameter (a number, or 'adaptive')"}),
-    "eta0": (0.8, {"type": float}),
+    "eta0": (None, {"type": float, "help": "default 0.01 for adam, else 0.8"}),
     "beta": (0.999, {"type": float}),
-    "eta_floor": (0.02, {"type": float}),
-    "batch": (100, {"type": int}),
+    "eta_floor": (None, {"type": float, "help": "default 0.001 for adam, else 0.02"}),
+    "batch": (100, {"type": at_least(1)}),
     "epochs": (100, {"type": int}),
-    "train_count": (1000, {"type": int}),
-    "test_count": (1000, {"type": int}),
-    "arch": ("100-400-200-10", {"help": "layer widths, e.g. 100-400-200-10"}),
-    "activation": ("sigmoid", {"choices": ["sigmoid", "relu"]}),
-    "loss": ("quadratic", {"choices": ["quadratic", "cross-entropy"]}),
-    "metric": ("mse", {"choices": ["mse", "classification"]}),
-    "checkpoint_epochs": ("", {"help": "comma-separated epoch list"}),
+    "train_count": (1000, {"type": at_least(1)}),
+    "test_count": (1000, {"type": at_least(1)}),
+    "arch": ((100, 400, 200, 10), {"type": widths, "help": "layer widths, e.g. 100-400-200-10"}),
+    "activation": ("sigmoid", {"type": name, "choices": ["sigmoid", "relu"]}),
+    "loss": ("quadratic", {"type": name, "choices": ["quadratic", "cross_entropy"]}),
+    "metric": ("mse", {"type": name, "choices": ["mse", "classification"]}),
+    "checkpoint_epochs": ((), {"type": epoch_list, "help": "comma-separated epoch list"}),
     "mnist_images": (None, {}),
     "mnist_labels": (None, {}),
     "data_train": (None, {}),
@@ -72,20 +96,20 @@ OPTIONS = {
 # The options each subcommand reads (train and suite read them all).
 EVAL_KEYS = ("metric", "mnist_images", "mnist_labels", "data_train", "data_test")
 SCAN_KEYS = EVAL_KEYS + ("out",)
-MEMORY_KEYS = ("seed", "schedule", "gamma0", "lambda", "a0", "b0", "out")
-
-ADAM_ETA0 = 0.01
-ADAM_FLOOR = 0.001
+MEMORY_KEYS = ("seed", "schedule", "gamma0", "a0", "b0", "out")
 
 
 def _add_options(p: _Parser, keys):
     p.add_argument("--config", help="key=value config file")
     for key in keys:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, **OPTIONS[key][1])
+        default, kwargs = OPTIONS[key]
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=default, **kwargs)
+    p.set_defaults(keys=tuple(keys))
 
 
-def _read_config_file(path) -> dict:
-    values = {}
+def _config_flags(path, keys) -> list[str]:
+    """The --config file as flags; keys that only other subcommands read are dropped."""
+    flags = []
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -94,42 +118,24 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{line_no}: expected key = value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
-    return values
+            key = key.replace("-", "_")
+            if key not in OPTIONS:
+                raise UsageError(f"unknown config key {key!r}")
+            if key in keys:
+                flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
-def _coerce(key, value: str):
+def _prepare(args, build=None):
+    """Build what a subcommand runs (a ValueError is a usage error), then print its options."""
+    opts = {key: getattr(args, key) for key in args.keys}
     try:
-        return OPTIONS[key][1].get("type", str)(value)
-    except ValueError:
-        raise ValueError(f"bad {key} value {value!r}") from None
-
-
-def _prepare(args, keys, build=None):
-    """Resolve a subcommand's options and build what it runs from them.
-
-    Flags override the --config file, which overrides the defaults; the file
-    may carry keys that other subcommands read.  This is the one place where
-    a bad option value, a ValueError from a conversion or a constructor,
-    becomes a usage error.
-    """
-    try:
-        opts = {key: OPTIONS[key][0] for key in keys}
-        if args.config:
-            for key, value in _read_config_file(args.config).items():
-                if key not in OPTIONS:
-                    raise UsageError(f"unknown config key {key!r}")
-                if key in opts:
-                    opts[key] = _coerce(key, value)
-        for key in keys:
-            if getattr(args, key) is not None:
-                opts[key] = getattr(args, key)
-        print(f"# resolved configuration ({args.command})", file=sys.stderr)
-        for key in sorted(opts):
-            print(f"# {key} = {opts[key]}", file=sys.stderr)
-        return opts, build(opts) if build else None
+        built = build(opts) if build else None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    print(f"# resolved configuration ({args.command})",
+          *(f"# {key} = {opts[key]}" for key in sorted(opts)), sep="\n", file=sys.stderr)
+    return opts, built
 
 
 def _metric(opts) -> str:
@@ -139,18 +145,8 @@ def _metric(opts) -> str:
 def _build_schedule(opts) -> optim.Schedule:
     if opts["schedule"] == "power_law":
         return optim.PowerLawSchedule(a0=opts["a0"], b0=opts["b0"])
-    return optim.ExpGammaSchedule(gamma0=opts["gamma0"], lam=opts["lambda"])
-
-
-def _parse_arch_opts(opts) -> net.Architecture:
-    try:
-        widths = [int(w) for w in str(opts["arch"]).split("-")]
-    except ValueError:
-        raise UsageError(f"bad --arch value {opts['arch']!r}")
-    loss = str(opts["loss"]).replace("-", "_")
-    output_activation = "softmax" if loss == "cross_entropy" else "sigmoid"
-    return net.Architecture(widths=widths, hidden_activation=opts["activation"],
-                            output_activation=output_activation, loss=loss)
+    # analyze-memory does not read lambda: it works within epoch 0, where lambda has no effect
+    return optim.ExpGammaSchedule(gamma0=opts["gamma0"], lam=opts.get("lambda", 0.0))
 
 
 def _dataset_source(opts) -> tuple:
@@ -166,27 +162,27 @@ def _dataset_source(opts) -> tuple:
 
 
 def _build_train_config(opts) -> TrainConfig:
+    """The run ``opts`` describe; an unset eta0 or eta_floor takes the optimizer's default."""
     optimizer = opts["optimizer"]
+    paper = (0.01, 0.001) if optimizer == "adam" else (0.8, 0.02)  # (eta0, eta_floor)
+    opts.update((key, v) for key, v in zip(("eta0", "eta_floor"), paper) if opts[key] is None)
     uses_schedule = optimizer == "rsgd" or opts["rho"] == "adaptive"
-    eta0, floor = opts["eta0"], opts["eta_floor"]
-    if optimizer == "adam" and eta0 == OPTIONS["eta0"][0]:
-        eta0, floor = ADAM_ETA0, ADAM_FLOOR  # paper's Adam step sizes unless overridden
-    ckpt = tuple(int(e) for e in opts["checkpoint_epochs"].split(",") if e != "")
+    output = "softmax" if opts["loss"] == "cross_entropy" else "sigmoid"
     return TrainConfig(
-        architecture=_parse_arch_opts(opts), optimizer=optimizer,
+        architecture=net.Architecture(list(opts["arch"]), opts["activation"], output, opts["loss"]),
+        optimizer=optimizer,
         schedule=_build_schedule(opts) if uses_schedule else None,
         rho=opts["rho"] if optimizer in ("sgdm", "nag") else None,
-        eta0=eta0, beta=opts["beta"], eta_floor=floor,
+        eta0=opts["eta0"], beta=opts["beta"], eta_floor=opts["eta_floor"],
         batch_size=opts["batch"], epochs=opts["epochs"],
         train_count=opts["train_count"], test_count=opts["test_count"],
         seed=opts["seed"], dataset_source=_dataset_source(opts),
-        checkpoint_epochs=ckpt, metric=_metric(opts))
+        checkpoint_epochs=opts["checkpoint_epochs"], metric=_metric(opts))
 
 
 def _cmd_gen_data(args) -> int:
-    rng = RngStream(args.seed, "data-gen")
     train_set, test_set = data_mod.generate_teacher_dataset(
-        args.n_in, args.n_out, args.count, rng)
+        args.n_in, args.n_out, args.count, RngStream(args.seed, "data-gen"))
     os.makedirs(args.out, exist_ok=True)
     data_mod.save_dataset(os.path.join(args.out, "train.bin"), train_set)
     data_mod.save_dataset(os.path.join(args.out, "test.bin"), test_set)
@@ -196,7 +192,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    opts, config = _prepare(args, OPTIONS, _build_train_config)
+    opts, config = _prepare(args, _build_train_config)
     result = train(config)
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
@@ -212,19 +208,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _suite_configs(opts, optimizers) -> dict[str, TrainConfig]:
-    configs = {}
-    for name in optimizers or [opts["optimizer"]]:
-        per = dict(opts, optimizer=name)
-        if name == "adam":
-            per["eta0"] = OPTIONS["eta0"][0]  # let the Adam default kick in
-        configs[name] = _build_train_config(per)
-    return configs
-
-
 def _cmd_suite(args) -> int:
     optimizers = [o.strip() for o in args.optimizers.split(",")] if args.optimizers else None
-    opts, configs = _prepare(args, OPTIONS, lambda o: _suite_configs(o, optimizers))
+    opts, configs = _prepare(args, lambda o: {name: _build_train_config(dict(o, optimizer=name))
+                                              for name in optimizers or [o["optimizer"]]})
     rows = run_suite(configs, n_runs=args.runs, jobs=args.jobs)
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
@@ -244,22 +231,20 @@ def _load_eval_dataset(opts):
 
 
 def _cmd_eval(args) -> int:
-    opts, _ = _prepare(args, EVAL_KEYS)
+    opts, _ = _prepare(args)
     arch, params = net.load_checkpoint(args.checkpoint)
     print(evaluate(params, arch, _load_eval_dataset(opts), _metric(opts)))
     return 0
 
 
 def _cmd_scan_surface(args) -> int:
-    opts, _ = _prepare(args, SCAN_KEYS)
+    opts, _ = _prepare(args)
     paths = args.checkpoints.split(",")
     if len(paths) != 4:
         raise UsageError(f"--checkpoints needs exactly 4 paths, got {len(paths)}")
     loaded = [net.load_checkpoint(p) for p in paths]
-    arch = loaded[0][0]
-    corners = [params for _, params in loaded]
-    dataset = _load_eval_dataset(opts)
-    grid = surface_mod.scan_surface(corners, args.resolution, arch, dataset, _metric(opts))
+    grid = surface_mod.scan_surface([params for _, params in loaded], args.resolution,
+                                    loaded[0][0], _load_eval_dataset(opts), _metric(opts))
     surface_mod.write_surface_csv(opts["out"] or sys.stdout, grid)
     if grid.has_failures:
         print("# warning: some grid points failed to evaluate (NaN markers)", file=sys.stderr)
@@ -268,15 +253,15 @@ def _cmd_scan_surface(args) -> int:
 
 
 def _cmd_analyze_memory(args) -> int:
-    opts, schedule = _prepare(args, MEMORY_KEYS, _build_schedule)
+    opts, schedule = _prepare(args, _build_schedule)
     pmf = optim.memory_length_pmf(schedule, args.t)
     with _open_csv(opts["out"] or sys.stdout) as out:
         out.write("length,probability\n")
         for length, prob in enumerate(pmf):
             out.write(f"{length},{float(prob)!r}\n")
     if args.simulate:
-        rng = RngStream(opts["seed"], "reinforcement")
-        empirical = optim.simulate_memory_length(schedule, args.t, args.simulate, rng)
+        empirical = optim.simulate_memory_length(schedule, args.t, args.simulate,
+                                                 RngStream(opts["seed"], "reinforcement"))
         tv = 0.5 * float(np.abs(empirical - pmf).sum())
         print(f"# simulated {args.simulate} runs: total-variation distance {tv:.5f}",
               file=sys.stderr)
@@ -289,9 +274,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a teacher-network dataset")
-    p.add_argument("--n-in", type=int, required=True)
-    p.add_argument("--n-out", type=int, required=True)
-    p.add_argument("--count", type=int, required=True, help="total examples (half train, half test)")
+    p.add_argument("--n-in", type=at_least(1), required=True)
+    p.add_argument("--n-out", type=at_least(1), required=True)
+    p.add_argument("--count", type=at_least(2), required=True,
+                   help="total examples (half train, half test)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
@@ -303,8 +289,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("suite", help="multi-seed aggregation across optimizers")
     _add_options(p, OPTIONS)
     p.add_argument("--optimizers", help="comma-separated optimizer list")
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--runs", type=at_least(1), default=5)
+    p.add_argument("--jobs", type=at_least(1), default=1)
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -315,22 +301,27 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scan-surface", help="bilinear-interpolation error surface scan")
     _add_options(p, SCAN_KEYS)
     p.add_argument("--checkpoints", required=True, help="4 comma-separated checkpoint paths")
-    p.add_argument("--resolution", type=int, default=41)
+    p.add_argument("--resolution", type=at_least(2), default=41)
     p.set_defaults(func=_cmd_scan_surface)
 
     p = sub.add_parser("analyze-memory", help="memory-length distribution of the reinforced rule")
     _add_options(p, MEMORY_KEYS)
-    p.add_argument("--t", type=int, required=True, help="step at which to evaluate the distribution")
-    p.add_argument("--simulate", type=int, default=0,
+    p.add_argument("--t", type=at_least(0), required=True,
+                   help="step at which to evaluate the distribution")
+    p.add_argument("--simulate", type=at_least(0), default=0,
                    help="also simulate this many coin-process runs and report TV distance")
     p.set_defaults(func=_cmd_analyze_memory)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # argv[0] is the subcommand; its own flags come last and so win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, args.keys) + argv[1:])
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,15 +22,15 @@ class ShapeError(ValueError):
     """Raised when matrix operands have incompatible shapes."""
 
 
-def read_exact(f, size: int, path) -> bytes:
-    """The next ``size`` bytes of binary file ``f``; ValueError if it ends first.
+def read_exact(f, size: int, path, error: type[ValueError] = ValueError) -> bytes:
+    """The next ``size`` bytes of binary file ``f``; ``error`` if it ends first.
 
     The length is checked against the file before reading, so a corrupt size
     field never asks for more memory than the file holds.
     """
     left = os.fstat(f.fileno()).st_size - f.tell()
     if size > left:
-        raise ValueError(f"{path}: truncated file, expected {size} more bytes, {left} left")
+        raise error(f"{path}: truncated file, expected {size} more bytes, {left} left")
     return f.read(size)
 
 

@@ -6,6 +6,7 @@ arrays); the network consumes transposed slices (examples as columns).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -93,39 +94,26 @@ def one_hot(labels: np.ndarray, n_classes: int = 10) -> np.ndarray:
     return out
 
 
-def _read_be_u32(f, path) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise IdxTruncatedError(f"{path}: truncated header")
-    return struct.unpack(">I", raw)[0]
+def _read_idx(path, magic: int, n_dims: int) -> tuple[tuple[int, ...], bytes]:
+    """An IDX file's dimension sizes and its payload of unsigned bytes.
+
+    Every read is checked against the file size first, so a corrupt header
+    raises IdxTruncatedError without allocating what it claims.
+    """
+    with open(path, "rb") as f:
+        (found,) = struct.unpack(">I", read_exact(f, 4, path, IdxTruncatedError))
+        if found != magic:
+            raise IdxMagicError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+        dims = struct.unpack(f">{n_dims}I", read_exact(f, 4 * n_dims, path, IdxTruncatedError))
+        return dims, read_exact(f, math.prod(dims), path, IdxTruncatedError)
 
 
 def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
     """Parse the big-endian IDX pair; pixels scaled to [0,1], labels one-hot."""
-    with open(images_path, "rb") as f:
-        magic = _read_be_u32(f, images_path)
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxMagicError(
-                f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-        count = _read_be_u32(f, images_path)
-        rows = _read_be_u32(f, images_path)
-        cols = _read_be_u32(f, images_path)
-        payload = f.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise IdxTruncatedError(
-                f"{images_path}: expected {count * rows * cols} pixel bytes, got {len(payload)}")
-        pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    with open(labels_path, "rb") as f:
-        magic = _read_be_u32(f, labels_path)
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxMagicError(
-                f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        label_count = _read_be_u32(f, labels_path)
-        raw = f.read(label_count)
-        if len(raw) != label_count:
-            raise IdxTruncatedError(
-                f"{labels_path}: expected {label_count} label bytes, got {len(raw)}")
-        labels = np.frombuffer(raw, dtype=np.uint8)
+    (count, rows, cols), payload = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
+    (label_count,), raw = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
+    labels = np.frombuffer(raw, dtype=np.uint8)
     if label_count != count:
         raise IdxCountMismatchError(
             f"{images_path} has {count} images but {labels_path} has {label_count} labels")
@@ -159,10 +147,6 @@ class BatchPlan:
         self.n_examples = n_examples
         self.batch_size = batch_size
         self.rng = rng
-
-    @property
-    def batches_per_epoch(self) -> int:
-        return self.n_examples // self.batch_size
 
     def epoch_batches(self):
         """Yield index arrays for one epoch; reshuffles from the stream."""

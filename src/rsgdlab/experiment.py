@@ -22,6 +22,7 @@ from .optim import (Adam, Nag, Rsgd, Schedule, Sgdm, VanillaSgd)
 
 OPTIMIZERS = ("backprop", "rsgd", "sgdm", "nag", "adam")
 METRICS = ("mse", "classification_error")
+EVAL_CHUNK = 2000  # examples per forward pass in evaluate
 
 METRICS_CSV_HEADER = ["epoch", "train_error", "test_error", "eta", "gamma", "wall_time_s"]
 AGGREGATE_CSV_HEADER = ["config_id", "metric_mean", "metric_std", "n_runs", "n_diverged"]
@@ -62,6 +63,8 @@ class TrainConfig:
             raise ValueError("eta0 and eta_floor must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if any(not 0 <= e <= self.epochs for e in self.checkpoint_epochs):
+            raise ValueError(f"checkpoint epochs must lie in 0..{self.epochs}")
         if self.train_count % self.batch_size != 0:
             raise ValueError(
                 f"batch size {self.batch_size} must divide train count {self.train_count}")
@@ -102,7 +105,7 @@ class TrainResult:
 
 
 def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
-             metric: str, chunk: int = 2000, layer1=None) -> float:
+             metric: str, layer1=None) -> float:
     """Mean error over a dataset; forward passes chunked to bound memory.
 
     ``layer1``, when given, is the first layer's pre-activation for the whole
@@ -112,10 +115,10 @@ def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
         raise ValueError(f"metric must be one of {METRICS}")
     n = len(dataset)
     total = 0.0
-    for start in range(0, n, chunk):
-        x = dataset.inputs[start:start + chunk].T
-        y_true = dataset.targets[start:start + chunk].T
-        h1 = None if layer1 is None else layer1[:, start:start + chunk]
+    for start in range(0, n, EVAL_CHUNK):
+        x = dataset.inputs[start:start + EVAL_CHUNK].T
+        y_true = dataset.targets[start:start + EVAL_CHUNK].T
+        h1 = None if layer1 is None else layer1[:, start:start + EVAL_CHUNK]
         y = net.forward(params, arch, x, h1).output
         if metric == "mse":
             eps = y_true - y
@@ -251,7 +254,8 @@ def run_suite(configs: dict[str, TrainConfig], n_runs: int,
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # capped at the task count: under fork every worker starts at once
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_suite_task, tasks))
     else:
         outcomes = list(map(_suite_task, tasks))

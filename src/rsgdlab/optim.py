@@ -183,19 +183,18 @@ class Adam:
 
 # --- analytic diagnostics ------------------------------------------------
 
-def memory_length_pmf(schedule: Schedule, t: int, t_ep_of=None) -> np.ndarray:
+def memory_length_pmf(schedule: Schedule, t: int) -> np.ndarray:
     """Distribution of the accumulator's memory length at step t.
 
     Entry L is the probability that the current accumulated gradient is a sum
     over the last L+1 steps (reset at step t-L, accumulation at every step
     since).  gamma at step 0 is forced to 0, which makes the distribution sum
-    to one exactly.
+    to one exactly.  Gamma is taken within the first epoch (t_ep = 0), so an
+    exp-gamma schedule's lam has no effect.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t_ep_of is None:
-        t_ep_of = lambda step: 0
-    g = np.array([schedule.gamma(l, t_ep_of(l)) for l in range(t + 1)])
+    g = np.array([schedule.gamma(l) for l in range(t + 1)])
     g[0] = 0.0
     pmf = np.empty(t + 1)
     suffix = 1.0  # product of gamma over steps t-L+1 .. t
@@ -206,16 +205,15 @@ def memory_length_pmf(schedule: Schedule, t: int, t_ep_of=None) -> np.ndarray:
 
 
 def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
-                           rng: RngStream, t_ep_of=None) -> np.ndarray:
+                           rng: RngStream) -> np.ndarray:
     """Empirical memory-length distribution from simulating the coin process.
 
     Each run draws the per-step reinforcement coin for steps 1..t and reports
     the length of the trailing run of accumulations at step t.  Returns the
-    normalized histogram over lengths 0..t.
+    normalized histogram over lengths 0..t.  Gamma is taken within the first
+    epoch (t_ep = 0), as in :func:`memory_length_pmf`.
     """
-    if t_ep_of is None:
-        t_ep_of = lambda step: 0
-    probs = np.array([schedule.gamma(l, t_ep_of(l)) for l in range(1, t + 1)])
+    probs = np.array([schedule.gamma(l) for l in range(1, t + 1)])
     coins = rng.uniform((n_runs, t)) < probs  # coins[:, l-1] = reinforce at step l
     rev = ~coins[:, ::-1]
     has_reset = rev.any(axis=1)

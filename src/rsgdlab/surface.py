@@ -22,14 +22,9 @@ from .experiment import _open_csv, evaluate
 
 @dataclass
 class InterpolationGrid:
-    corners: list[list[np.ndarray]]   # W1..W4
     alphas: np.ndarray
     betas: np.ndarray
     values: np.ndarray                # values[i, j] = error at (alphas[i], betas[j])
-
-    @property
-    def resolution(self) -> int:
-        return len(self.alphas)
 
     @property
     def has_failures(self) -> bool:
@@ -85,8 +80,7 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
                 values[i, j] = evaluate(params, arch, dataset, metric, layer1=layer1)
             except (FloatingPointError, ValueError):
                 values[i, j] = np.nan
-    return InterpolationGrid(corners=list(corners), alphas=alphas, betas=betas,
-                             values=values)
+    return InterpolationGrid(alphas=alphas, betas=betas, values=values)
 
 
 def write_surface_csv(dest, grid: InterpolationGrid) -> None:

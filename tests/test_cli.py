@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
-from rsgdlab.cli import main
+from rsgdlab import cli
+from rsgdlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +134,16 @@ class TestEvalAndSurface:
         assert code == 0
         assert np.isfinite(float(stdout.strip()))
 
+    def test_eval_on_idx_header_larger_than_file_exits_2(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 0xFFFFFFFF, 0xFFFF, 0xFFFF))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 1) + b"\x00")
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(out / "final.ckpt"),
+                               "--mnist-images", str(images), "--mnist-labels", str(labels))
+        assert code == 2
+        assert err.strip().splitlines()[-1].startswith("error:")
+
     @pytest.mark.parametrize("corrupt", ["short_checkpoint", "short_dataset", "activation_code"])
     def test_corrupt_input_file_exits_2(self, trained, capsys, corrupt):
         tmp_path, data_dir, out = trained
@@ -215,5 +228,113 @@ class TestOptions:
         code, _, err = run_cli(capsys, "analyze-memory", "--config", str(cfg), "--t", "5")
         assert code == 0
         keys = [line.split(" = ")[0][2:] for line in err.splitlines() if " = " in line]
-        assert keys == ["a0", "b0", "gamma0", "lambda", "out", "schedule", "seed"]
+        assert keys == ["a0", "b0", "gamma0", "out", "schedule", "seed"]
         assert "# schedule = power_law" in err
+
+
+TOY = ["--arch", "4-6-3", "--batch", "10", "--train-count", "50", "--test-count", "50",
+       "--epochs", "1"]
+
+
+class TestConfigParsing:
+    """A --config value passes the same checks as the flag of the same name."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", "{cfg}"],
+        ["--schedule", "power-law"],
+    ])
+    def test_choice_spellings_agree(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("schedule = power-law\n")
+        expected = run_cli(capsys, "analyze-memory", "--schedule", "power_law", "--t", "30")[1]
+        code, out, err = run_cli(capsys, "analyze-memory", "--t", "30",
+                                 *(a.format(cfg=cfg) for a in argv))
+        assert code == 0
+        assert "# schedule = power_law" in err
+        assert out == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["train", *TOY],
+        ["suite", *TOY, "--runs", "1"],
+        ["eval", "--checkpoint", "missing.ckpt", "--data-test", "missing.bin"],
+    ])
+    def test_misspelt_choice_in_file_is_a_usage_error(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("metric = classificaton\n")
+        code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert "--metric" in err.strip().splitlines()[-1]
+        assert "resolved configuration" not in err
+
+    @pytest.mark.parametrize("spelling", ["cross_entropy", "cross-entropy"])
+    def test_loss_spellings_in_file(self, tmp_path, capsys, spelling):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"loss = {spelling}\nmetric = classification\n")
+        code, _, err = run_cli(capsys, "train", *TOY, "--config", str(cfg))
+        assert code == 0
+        assert "# loss = cross_entropy" in err
+
+    @pytest.mark.parametrize("flag, value", [("--checkpoint-epochs", "1,x"), ("--arch", "4-x-3")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_list_value_error_names_the_flag(self, tmp_path, capsys, flag, value, source):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        argv = [flag, value] if source == "flag" else ["--config", str(cfg)]
+        code, _, err = run_cli(capsys, "train", *argv)
+        assert code == 1
+        assert err.strip().splitlines()[-1].startswith(f"error: argument {flag}:")
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--runs", ["suite", "--runs", "0"]),
+        ("--jobs", ["suite", "--jobs", "0"]),
+        ("--jobs", ["suite", "--jobs", "-3"]),
+        ("--resolution", ["scan-surface", "--checkpoints", "a,b,c,d", "--resolution", "1"]),
+        ("--t", ["analyze-memory", "--t", "-1"]),
+        ("--simulate", ["analyze-memory", "--t", "5", "--simulate", "-5"]),
+        ("--n-in", ["gen-data", "--n-in", "0", "--n-out", "1", "--count", "4", "--out", "x"]),
+        ("--n-out", ["gen-data", "--n-in", "1", "--n-out", "0", "--count", "4", "--out", "x"]),
+        ("--count", ["gen-data", "--n-in", "1", "--n-out", "1", "--count", "-2", "--out", "x"]),
+        ("--batch", ["train", "--batch", "0"]),
+        ("--train-count", ["suite", "--train-count", "0"]),
+        ("--test-count", ["train", "--test-count", "0"]),
+    ])
+    def test_count_out_of_range_is_a_usage_error(self, capsys, flag, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.strip().splitlines()[-1].startswith(f"error: argument {flag}: must be >=")
+
+
+class TestStepSizes:
+    """An unset eta0/eta_floor takes the optimizer's default; a given one always wins."""
+
+    @pytest.mark.parametrize("extra, eta0, eta_floor, first_eta", [
+        ([], 0.01, 0.001, 0.01),
+        (["--eta0", "0.8"], 0.8, 0.001, 0.8),
+        (["--eta-floor", "0.5"], 0.01, 0.5, 0.5),
+    ])
+    def test_train_adam(self, capsys, extra, eta0, eta_floor, first_eta):
+        code, out, err = run_cli(capsys, "train", "--optimizer", "adam", *TOY, *extra)
+        assert code == 0
+        assert f"# eta0 = {eta0}" in err.splitlines()
+        assert f"# eta_floor = {eta_floor}" in err.splitlines()
+        epoch0 = out.splitlines()[1].split(",")
+        assert epoch0[0] == "0" and float(epoch0[3]) == first_eta
+
+    def test_suite_adam_keeps_given_eta0(self, capsys, monkeypatch):
+        built = {}
+        monkeypatch.setattr(cli, "run_suite", lambda configs, **_: built.update(configs) or [])
+        code, _, _ = run_cli(capsys, "suite", "--optimizers", "adam,backprop", *TOY,
+                             "--eta0", "0.05")
+        assert code == 0
+        assert built["adam"].eta0 == 0.05 and built["backprop"].eta0 == 0.05
+        assert built["adam"].eta_floor == 0.001 and built["backprop"].eta_floor == 0.02
+
+
+@pytest.mark.parametrize("command, n_flags", [
+    ("gen-data", 5), ("train", 26), ("suite", 29), ("eval", 7), ("scan-surface", 9),
+    ("analyze-memory", 9),
+])
+def test_flag_count(command, n_flags):
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    flags = [a for a in sub._actions if a.dest != "help"]
+    assert len(flags) == n_flags

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,20 @@ class TestIdxLoader:
         images.write_bytes(images.read_bytes()[:-3])
         with pytest.raises(IdxTruncatedError):
             load_mnist_idx(images, labels)
+
+    @pytest.mark.parametrize("dims", [(60000, 28, 28), (0xFFFFFFFF, 0xFFFF, 0xFFFF)])
+    def test_header_larger_than_file(self, tmp_path, dims):
+        _, labels = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        images = tmp_path / "header-only"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, *dims))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdxTruncatedError):
+                load_mnist_idx(images, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_count_mismatch(self, tmp_path):
         images, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,11 @@ class TestTrainLoop:
         for a, b in zip(result.checkpoints[0], init):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("epochs", [(5,), (-1,), (0, 4, 6)])
+    def test_checkpoint_epoch_outside_run_rejected(self, epochs):
+        with pytest.raises(ValueError, match="checkpoint epochs"):
+            toy_config(epochs=4, checkpoint_epochs=epochs)
+
     def test_nag_oracle_calls_counted(self):
         cfg = toy_config(optimizer="nag", rho=0.5, epochs=3)
         result = train(cfg)
@@ -200,3 +207,27 @@ class TestCsvWriters:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "config_id,metric_mean,metric_std,n_runs,n_diverged"
         assert lines[1].startswith("rsgd,0.05,")
+
+
+def test_suite_pool_capped_at_task_count(monkeypatch):
+    """A large jobs value asks the pool for one worker per task, no more."""
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    configs = {"a": toy_config(epochs=1), "b": toy_config(epochs=1, eta0=0.3)}
+    rows = run_suite(configs, n_runs=2, jobs=1000)
+    assert requested == [4]
+    assert [r.n_runs for r in rows] == [2, 2]
