@@ -1,3 +1,28 @@
 """Training laboratory for reinforced SGD and classical optimizer baselines."""
 
+import ctypes
+
 __version__ = "0.1.0"
+
+
+def _set_heap_policy() -> None:
+    """With glibc, keep freed MB-sized arrays in the heap instead of unmapping them.
+
+    glibc serves blocks above its mmap threshold (128 KB at start) with fresh
+    mappings and unmaps them on free, so the temporaries of ``evaluate`` and of
+    every training step are faulted in again on each call.  Its dynamic rule
+    raises the threshold only after a large block happens to be freed.  These
+    are the values that rule ends at: blocks up to 32 MB come from the heap,
+    and up to 64 MB of free heap top is kept.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return  # not glibc: keep the allocator's own policy
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_set_heap_policy()

@@ -64,6 +64,14 @@ def at_least(low: int):
     return count
 
 
+def even_count(value: str) -> int:
+    """A gen-data --count: an even number >= 2, split in half into train and test."""
+    count = at_least(2)(value)
+    if count % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {value}")
+    return count
+
+
 # key -> (default, argparse keywords); the flag is the key with '-' for '_'.
 OPTIONS = {
     "seed": (0, {"type": int}),
@@ -276,7 +284,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate a teacher-network dataset")
     p.add_argument("--n-in", type=at_least(1), required=True)
     p.add_argument("--n-out", type=at_least(1), required=True)
-    p.add_argument("--count", type=at_least(2), required=True,
+    p.add_argument("--count", type=even_count, required=True,
                    help="total examples (half train, half test)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError(f"metric must be one of {METRICS}")
         if not (self.eta0 > 0 and self.eta_floor > 0):
             raise ValueError("eta0 and eta_floor must be positive")
+        if not 0.0 < self.beta <= 1.0:
+            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if any(not 0 <= e <= self.epochs for e in self.checkpoint_epochs):

@@ -204,6 +204,9 @@ def memory_length_pmf(schedule: Schedule, t: int) -> np.ndarray:
     return pmf
 
 
+SIM_BLOCK = 2 ** 15  # coins per block of simulate_memory_length
+
+
 def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
                            rng: RngStream) -> np.ndarray:
     """Empirical memory-length distribution from simulating the coin process.
@@ -212,13 +215,24 @@ def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
     the length of the trailing run of accumulations at step t.  Returns the
     normalized histogram over lengths 0..t.  Gamma is taken within the first
     epoch (t_ep = 0), as in :func:`memory_length_pmf`.
+
+    Runs are drawn in blocks of about ``SIM_BLOCK`` coins, so memory is
+    O(SIM_BLOCK + t) whatever ``n_runs`` is.  The stream fills each block row
+    by row, so the coins, and the histogram, equal those of one
+    ``(n_runs, t)`` draw.
     """
+    if t == 0:
+        return np.ones(1)  # no coins: every run has length 0
     probs = np.array([schedule.gamma(l) for l in range(1, t + 1)])
-    coins = rng.uniform((n_runs, t)) < probs  # coins[:, l-1] = reinforce at step l
-    rev = ~coins[:, ::-1]
-    has_reset = rev.any(axis=1)
-    lengths = np.where(has_reset, np.argmax(rev, axis=1), t)
-    counts = np.bincount(lengths, minlength=t + 1)
+    rows = max(1, SIM_BLOCK // t)
+    counts = np.zeros(t + 1, dtype=np.int64)
+    for start in range(0, n_runs, rows):
+        # coins[:, l-1] = reinforce at step l
+        coins = rng.uniform((min(rows, n_runs - start), t)) < probs
+        rev = ~coins[:, ::-1]
+        has_reset = rev.any(axis=1)
+        lengths = np.where(has_reset, np.argmax(rev, axis=1), t)
+        counts += np.bincount(lengths, minlength=t + 1)
     return counts / n_runs
 
 

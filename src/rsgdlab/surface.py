@@ -55,8 +55,9 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     """Evaluate the error at every point of a uniform lattice over [0,1]^2.
 
     The first layer's pre-activation is bilinear in (alpha, beta) too, so it
-    is computed once per corner and interpolated per point like the weights;
-    only the deeper layers are evaluated from the interpolated weights.
+    is computed once per corner and interpolated like the weights, by the
+    same expression; only the deeper layers are evaluated from the
+    interpolated weights.
 
     A failing evaluation marks its grid point NaN instead of aborting; the
     caller can check ``has_failures``.
@@ -68,14 +69,17 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     if dataset.n_in != arch.n_in:
         raise ShapeError(f"dataset has {dataset.n_in} inputs, architecture expects {arch.n_in}")
     x = dataset.inputs.T
-    # Each corner carries its layer-1 pre-activation as a last entry.
-    extended = [list(c) + [net.preactivation(c[0], x, arch.use_bias)] for c in corners]
+    h1, h2, h3, h4 = (net.preactivation(c[0], x, arch.use_bias) for c in corners)
     alphas = np.linspace(0.0, 1.0, resolution)
     betas = np.linspace(0.0, 1.0, resolution)
     values = np.empty((resolution, resolution))
     for i, alpha in enumerate(alphas):
+        # bilinear_interpolate's expression, its alpha part taken once per row
+        top = alpha * h1 + (1.0 - alpha) * h2
+        bottom = alpha * h3 + (1.0 - alpha) * h4
         for j, beta in enumerate(betas):
-            *params, layer1 = bilinear_interpolate(extended, alpha, beta)
+            params = bilinear_interpolate(corners, alpha, beta)
+            layer1 = beta * top + (1.0 - beta) * bottom
             try:
                 values[i, j] = evaluate(params, arch, dataset, metric, layer1=layer1)
             except (FloatingPointError, ValueError):

@@ -23,6 +23,13 @@ class TestGenData:
         assert (tmp_path / "a/train.bin").read_bytes() == (tmp_path / "b/train.bin").read_bytes()
         assert (tmp_path / "a/test.bin").read_bytes() == (tmp_path / "b/test.bin").read_bytes()
 
+    def test_odd_count_is_a_usage_error(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "gen-data", "--n-in", "2", "--n-out", "1",
+                               "--count", "3", "--out", str(tmp_path / "d"))
+        assert code == 1
+        assert err.strip().splitlines()[-1] == "error: argument --count: must be even, got 3"
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_batch_must_divide_train_count(self, capsys):
@@ -196,6 +203,12 @@ class TestAnalyzeMemory:
         assert code == 0
         assert "total-variation" in err
 
+    def test_zero_steps_with_simulation(self, capsys):
+        code, out, err = run_cli(capsys, "analyze-memory", "--t", "0", "--simulate", "5")
+        assert code == 0
+        assert out == "length,probability\n0,1.0\n"
+        assert "total-variation distance 0.00000" in err
+
 
 class TestOptions:
     @pytest.mark.parametrize("argv", [
@@ -302,6 +315,16 @@ class TestConfigParsing:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.strip().splitlines()[-1].startswith(f"error: argument {flag}: must be >=")
+
+    @pytest.mark.parametrize("command", [["train"], ["suite", "--runs", "1"]])
+    @pytest.mark.parametrize("source", [["--beta", "-1"], ["--beta", "1.5"], ["--config", "{cfg}"]])
+    def test_beta_out_of_range_is_a_usage_error(self, tmp_path, capsys, command, source):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("beta = 2\n")
+        code, _, err = run_cli(capsys, *command, *TOY, *(a.format(cfg=cfg) for a in source))
+        assert code == 1
+        assert err.strip().splitlines()[-1].startswith("error: beta must lie in (0, 1]")
+        assert "resolved configuration" not in err
 
 
 class TestStepSizes:

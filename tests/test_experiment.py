@@ -1,8 +1,13 @@
 import concurrent.futures
+import ctypes
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rsgdlab
 from rsgdlab import network as net
 from rsgdlab.core import RngStream
 from rsgdlab.data import LabeledDataset, one_hot
@@ -60,6 +65,48 @@ class TestEvaluate:
 
     def test_argmax_ties_break_low(self):
         assert np.argmax(np.array([0.5, 0.5])) == 0
+
+
+SECOND_EVALUATE_FAULTS = """
+import resource
+import numpy as np
+from rsgdlab import network as net
+from rsgdlab.core import RngStream
+from rsgdlab.data import LabeledDataset
+from rsgdlab.experiment import evaluate
+arch = net.Architecture([100, 400, 200, 10])
+params = net.init_params(arch, RngStream(0, "weight-init"))
+rng = np.random.default_rng(0)
+ds = LabeledDataset(inputs=rng.standard_normal((1000, 100)), targets=rng.random((1000, 10)))
+evaluate(params, arch, ds, "mse")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evaluate(params, arch, ds, "mse")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap policy")
+    def test_repeated_evaluate_reuses_heap_pages(self):
+        # A fresh process, so no earlier test has raised glibc's mmap threshold.
+        # Without the policy the second call faults in its temporaries again
+        # (about 2000 minor faults).
+        src = os.path.dirname(os.path.dirname(rsgdlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", SECOND_EVALUATE_FAULTS], env=env,
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        assert int(out) < 100
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                             ids=["no-libc", "no-mallopt"])
+    def test_missing_libc_or_mallopt_is_ignored(self, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        rsgdlab._set_heap_policy()
 
 
 class TestTrainLoop:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rsgdlab import optim
 from rsgdlab.core import RngStream, ShapeError
 from rsgdlab.optim import (Adam, ExpGammaSchedule, Nag, PowerLawSchedule,
                            Rsgd, Sgdm, VanillaSgd, memory_length_pmf,
@@ -207,3 +210,45 @@ class TestMemoryLengthPmf:
         pmf = memory_length_pmf(sched, t)
         emp = simulate_memory_length(sched, t, 100_000, RngStream(4, "reinforcement"))
         assert 0.5 * np.abs(emp - pmf).sum() < 0.01
+
+
+def trailing_run_histogram(coins):
+    """Reference: lengths of each row's trailing run of True, as a normalized histogram."""
+    n_runs, t = coins.shape
+    lengths = []
+    for row in coins:
+        length = 0
+        while length < t and row[t - 1 - length]:
+            length += 1
+        lengths.append(length)
+    return np.bincount(lengths, minlength=t + 1) / n_runs
+
+
+class TestSimulateMemoryLength:
+    @pytest.mark.parametrize("t", [0, 1, 7, 40])
+    @pytest.mark.parametrize("runs_per_block", [1, 2, 3])
+    def test_blocks_equal_one_draw(self, monkeypatch, t, runs_per_block):
+        # 11 runs: the last block is partial for 2 and 3 runs per block
+        monkeypatch.setattr(optim, "SIM_BLOCK", runs_per_block * max(t, 1))
+        sched = PowerLawSchedule(1.0, 0.5)
+        probs = np.array([sched.gamma(l) for l in range(1, t + 1)])
+        expected = trailing_run_histogram(RngStream(8, "reinforcement").uniform((11, t)) < probs)
+        got = simulate_memory_length(sched, t, 11, RngStream(8, "reinforcement"))
+        assert got.shape == (t + 1,)
+        assert np.array_equal(got, expected)
+
+    def test_zero_steps_matches_pmf(self):
+        sched = ExpGammaSchedule(0.9995, 0.0001)
+        got = simulate_memory_length(sched, 0, 5, RngStream(0, "reinforcement"))
+        assert np.array_equal(got, memory_length_pmf(sched, 0))
+
+    def test_memory_does_not_grow_with_runs(self):
+        # one (1e5, 300) draw would take 240 MB
+        tracemalloc.start()
+        try:
+            simulate_memory_length(PowerLawSchedule(1.0, 0.5), 300, 100_000,
+                                   RngStream(4, "reinforcement"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20

@@ -108,6 +108,21 @@ class TestScanSurface:
                 direct = evaluate(params, arch, ds, "mse")
                 assert grid.values[i, j] == pytest.approx(direct, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_points_equal_evaluate_of_interpolated_layer1(self, use_bias):
+        arch = net.Architecture([5, 6, 4, 3], use_bias=use_bias)
+        corners = random_corners(arch, seed=7)
+        rng = np.random.default_rng(2)
+        ds = LabeledDataset(inputs=rng.standard_normal((2500, 5)),
+                            targets=rng.random((2500, 3)))
+        products = [[net.preactivation(c[0], ds.inputs.T, use_bias)] for c in corners]
+        grid = scan_surface(corners, 7, arch, ds, "mse")
+        for i, alpha in enumerate(grid.alphas):
+            for j, beta in enumerate(grid.betas):
+                params = bilinear_interpolate(corners, alpha, beta)
+                layer1, = bilinear_interpolate(products, alpha, beta)
+                assert grid.values[i, j] == evaluate(params, arch, ds, "mse", layer1=layer1)
+
     def test_dataset_width_mismatch_rejected(self, small_setup):
         arch, corners, _ = small_setup
         ds = LabeledDataset(inputs=np.zeros((5, 4)), targets=np.zeros((5, 2)))
