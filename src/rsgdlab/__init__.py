@@ -13,7 +13,9 @@ def _set_heap_policy() -> None:
     every training step are faulted in again on each call.  Its dynamic rule
     raises the threshold only after a large block happens to be freed.  These
     are the values that rule ends at: blocks up to 32 MB come from the heap,
-    and up to 64 MB of free heap top is kept.
+    and up to 64 MB of free heap top is kept.  One arena serves every thread:
+    otherwise each worker thread of ``simulate_memory_length`` gets an arena
+    of its own, which keeps its freed blocks resident.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
@@ -23,6 +25,7 @@ def _set_heap_policy() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _set_heap_policy()

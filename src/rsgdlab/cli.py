@@ -271,7 +271,10 @@ def _cmd_analyze_memory(args) -> int:
         empirical = optim.simulate_memory_length(schedule, args.t, args.simulate,
                                                  RngStream(opts["seed"], "reinforcement"))
         tv = 0.5 * float(np.abs(empirical - pmf).sum())
-        print(f"# simulated {args.simulate} runs: total-variation distance {tv:.5f}",
+        expected = optim.expected_tv(pmf, args.simulate)
+        ratio = tv / expected if expected else float("nan")
+        print(f"# simulated {args.simulate} runs: total-variation distance {tv:.5f} "
+              f"(expected {expected:.5f} from sampling noise, ratio {ratio:.2f})",
               file=sys.stderr)
     return 0
 

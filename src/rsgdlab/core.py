@@ -10,6 +10,7 @@ reinforcement coins.
 
 from __future__ import annotations
 
+import copy
 import os
 import zlib
 
@@ -32,6 +33,13 @@ def read_exact(f, size: int, path, error: type[ValueError] = ValueError) -> byte
     if size > left:
         raise error(f"{path}: truncated file, expected {size} more bytes, {left} left")
     return f.read(size)
+
+
+def check_end(f, path) -> None:
+    """``ValueError`` if binary file ``f`` holds bytes after the current position."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left:
+        raise ValueError(f"{path}: {left} unexpected bytes after the payload")
 
 
 def _stream_key(stream_id: str) -> int:
@@ -73,6 +81,26 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+    def split(self, counts) -> list[np.random.Generator]:
+        """Generators for consecutive stretches of this stream, ``counts[i]`` draws each.
+
+        Part i is a copy of this stream advanced by ``sum(counts[:i])`` 64-bit
+        draws (one per double from ``random``), so its draws are the ones this
+        stream would have made there.  This stream itself moves past all of
+        them.  ``advance`` drops PCG64's buffered 32-bit half, which is put
+        back, so a later 32-bit draw is the same as without the split.
+        """
+        bits = self._gen.bit_generator
+        buffered = bits.state
+        parts = []
+        for count in counts:
+            parts.append(copy.deepcopy(self._gen))
+            bits.advance(int(count))
+        state = bits.state
+        state.update(has_uint32=buffered["has_uint32"], uinteger=buffered["uinteger"])
+        bits.state = state
+        return parts
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, read_exact
+from .core import RngStream, check_end, read_exact
 from .network import sigmoid
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -175,6 +175,7 @@ def load_dataset(path) -> LabeledDataset:
         n_in, n_out, count = struct.unpack("<III", read_exact(f, 12, path))
         inputs = np.frombuffer(read_exact(f, 8 * count * n_in, path), dtype="<f8")
         targets = np.frombuffer(read_exact(f, 8 * count * n_out, path), dtype="<f8")
+        check_end(f, path)
         return LabeledDataset(
             inputs=inputs.reshape(count, n_in).copy(),
             targets=targets.reshape(count, n_out).copy(),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, RngStream, ShapeError, read_exact
+from .core import Matrix, RngStream, ShapeError, check_end, read_exact
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "relu")
 OUTPUT_ACTIVATIONS = ("sigmoid", "softmax")
@@ -265,9 +265,12 @@ def load_checkpoint(path) -> tuple[Architecture, list[Matrix]]:
             names = _ACT_NAMES[h_act], _ACT_NAMES[o_act], _LOSS_NAMES[loss_code]
         except KeyError as exc:
             raise ValueError(f"{path}: unknown activation or loss code {exc.args[0]}") from None
+        if bias_flag not in (0, 1):
+            raise ValueError(f"{path}: bias flag must be 0 or 1, got {bias_flag}")
         arch = Architecture(widths=widths, hidden_activation=names[0],
                             output_activation=names[1], loss=names[2],
                             use_bias=bool(bias_flag))
         params = [np.frombuffer(read_exact(f, 8 * rows * cols, path), dtype="<f8")
                   .reshape(rows, cols).copy() for rows, cols in arch.weight_shapes()]
+        check_end(f, path)
         return arch, params

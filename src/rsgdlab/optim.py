@@ -16,7 +16,10 @@ never perturbs initialization or data order.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -204,7 +207,41 @@ def memory_length_pmf(schedule: Schedule, t: int) -> np.ndarray:
     return pmf
 
 
-SIM_BLOCK = 2 ** 15  # coins per block of simulate_memory_length
+def expected_tv(pmf: np.ndarray, n: int) -> float:
+    """Expected total-variation distance of an n-sample histogram from ``pmf``.
+
+    Sampling noise alone gives each entry a normal error of sd
+    sqrt(p(1-p)/n), whose mean absolute value is sqrt(2/pi) sd; half their sum
+    is sum sqrt(p(1-p) / (2 pi n)).
+    """
+    p = np.asarray(pmf, dtype=np.float64)
+    return float(np.sqrt(p * (1.0 - p) / (2.0 * np.pi * n)).sum())
+
+
+SIM_BLOCK = 2 ** 17  # coins in flight across all parts of simulate_memory_length
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _trailing_run_counts(gen: np.random.Generator, probs: np.ndarray, runs: int,
+                         rows: int) -> np.ndarray:
+    """int64 histogram of the trailing accumulation run of ``runs`` runs, ``rows`` at a time."""
+    t = len(probs)
+    counts = np.zeros(t + 1, dtype=np.int64)
+    for start in range(0, runs, rows):
+        # coins[:, l-1] = reinforce at step l
+        coins = gen.random((min(rows, runs - start), t)) < probs
+        rev = ~coins[:, ::-1]
+        has_reset = rev.any(axis=1)
+        lengths = np.where(has_reset, np.argmax(rev, axis=1), t)
+        counts += np.bincount(lengths, minlength=t + 1)
+    return counts
 
 
 def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
@@ -216,23 +253,29 @@ def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
     normalized histogram over lengths 0..t.  Gamma is taken within the first
     epoch (t_ep = 0), as in :func:`memory_length_pmf`.
 
-    Runs are drawn in blocks of about ``SIM_BLOCK`` coins, so memory is
-    O(SIM_BLOCK + t) whatever ``n_runs`` is.  The stream fills each block row
-    by row, so the coins, and the histogram, equal those of one
-    ``(n_runs, t)`` draw.
+    The runs are cut at block boundaries into one contiguous part per usable
+    CPU (at most one per block, and at most ``SIM_BLOCK // t``), and the parts
+    are histogrammed on threads.  Each part draws from its own stretch of
+    ``rng`` (:meth:`RngStream.split`) row by row, so the coins, the histogram
+    and ``rng``'s state afterwards equal those of one ``(n_runs, t)`` draw,
+    whatever the number of CPUs.  Blocks hold about ``SIM_BLOCK`` coins across
+    all parts together, so memory is O(SIM_BLOCK + t) whatever ``n_runs`` is.
     """
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if t == 0:
         return np.ones(1)  # no coins: every run has length 0
     probs = np.array([schedule.gamma(l) for l in range(1, t + 1)])
-    rows = max(1, SIM_BLOCK // t)
-    counts = np.zeros(t + 1, dtype=np.int64)
-    for start in range(0, n_runs, rows):
-        # coins[:, l-1] = reinforce at step l
-        coins = rng.uniform((min(rows, n_runs - start), t)) < probs
-        rev = ~coins[:, ::-1]
-        has_reset = rev.any(axis=1)
-        lengths = np.where(has_reset, np.argmax(rev, axis=1), t)
-        counts += np.bincount(lengths, minlength=t + 1)
+    # no more parts than runs of t coins fit in SIM_BLOCK, so memory stays O(SIM_BLOCK + t)
+    cpus = min(_usable_cpus(), max(1, SIM_BLOCK // t))
+    rows = max(1, SIM_BLOCK // (cpus * t))
+    blocks = -(-n_runs // rows)
+    n_parts = min(cpus, blocks)
+    edges = [min(n_runs, rows * (j * blocks // n_parts)) for j in range(n_parts + 1)]
+    runs = [b - a for a, b in zip(edges, edges[1:])]
+    gens = rng.split([r * t for r in runs])
+    with ThreadPoolExecutor(n_parts) as pool:
+        counts = sum(pool.map(_trailing_run_counts, gens, repeat(probs), runs, repeat(rows)))
     return counts / n_runs
 
 

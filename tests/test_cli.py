@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from rsgdlab import cli
+from rsgdlab import cli, optim
 from rsgdlab.cli import build_parser, main
 
 
@@ -172,6 +172,30 @@ class TestEvalAndSurface:
         assert code == 2
         assert err.strip().splitlines()[-1].startswith("error:")
 
+    @pytest.mark.parametrize("corrupt", ["checkpoint_tail", "dataset_tail", "bias_flag"])
+    def test_trailing_bytes_or_bad_bias_flag_exits_2(self, trained, capsys, corrupt):
+        tmp_path, data_dir, out = trained
+        ckpt, test_set = out / "final.ckpt", data_dir / "test.bin"
+        bad = tmp_path / "bad"
+        if corrupt == "checkpoint_tail":
+            bad.write_bytes(ckpt.read_bytes() + b"\x00")
+            ckpt = bad
+        elif corrupt == "dataset_tail":
+            bad.write_bytes(test_set.read_bytes() + b"\x00")
+            test_set = bad
+        else:
+            data = bytearray(ckpt.read_bytes())
+            data[27] ^= 0xFF  # bias flag of a 3-layer checkpoint
+            bad.write_bytes(bytes(data))
+            ckpt = bad
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                               "--data-test", str(test_set))
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert lines[-1].startswith("error:")
+        assert sum(line.startswith("error:") for line in lines) == 1
+        assert "Traceback" not in err
+
     def test_scan_surface_csv(self, trained, capsys):
         tmp_path, data_dir, out = trained
         ckpts = ",".join(str(out / f"epoch_{e:04d}.ckpt") for e in (0, 1, 2, 3))
@@ -202,6 +226,19 @@ class TestAnalyzeMemory:
                                "--simulate", "2000", "--seed", "1")
         assert code == 0
         assert "total-variation" in err
+
+    def test_simulation_summary_gives_expected_tv_and_ratio(self, capsys):
+        code, _, err = run_cli(capsys, "analyze-memory", "--schedule", "power_law",
+                               "--a0", "1", "--b0", "0.5", "--t", "50",
+                               "--simulate", "2000", "--seed", "1")
+        assert code == 0
+        line = err.strip().splitlines()[-1]
+        # the TV is the first token after the label, where the benchmark reads it
+        tv = float(line.rsplit("total-variation distance", 1)[1].split()[0])
+        expected = optim.expected_tv(
+            optim.memory_length_pmf(optim.PowerLawSchedule(1.0, 0.5), 50), 2000)
+        assert line.endswith(f"{tv:.5f} (expected {expected:.5f} from sampling noise, "
+                             f"ratio {tv / expected:.2f})")
 
     def test_zero_steps_with_simulation(self, capsys):
         code, out, err = run_cli(capsys, "analyze-memory", "--t", "0", "--simulate", "5")

@@ -197,3 +197,26 @@ class TestDatasetContainer:
             cut.write_bytes(data[:size])
             with pytest.raises(ValueError):
                 load_dataset(cut)
+
+    def _saved(self, tmp_path):
+        train, _ = generate_teacher_dataset(3, 2, 8, RngStream(4, "data-gen"))
+        path = tmp_path / "full.bin"
+        save_dataset(path, train)
+        return path.read_bytes()
+
+    def test_every_header_byte_flipped_raises_value_error(self, tmp_path):
+        # 7-byte magic, then n_in, n_out and count
+        data = self._saved(tmp_path)
+        path = tmp_path / "bad.bin"
+        for offset in range(7 + 12):
+            bad = bytearray(data)
+            bad[offset] ^= 0xFF
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ValueError):
+                load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.bin"
+        path.write_bytes(self._saved(tmp_path) + b"\x00" * 3)
+        with pytest.raises(ValueError, match="3 unexpected bytes after the payload"):
+            load_dataset(path)

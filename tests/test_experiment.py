@@ -108,6 +108,19 @@ class TestHeapPolicy:
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         rsgdlab._set_heap_policy()
 
+    def test_one_malloc_arena(self, monkeypatch):
+        calls = []
+
+        class FakeLibc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc())
+        rsgdlab._set_heap_policy()
+        assert (-8, 1) in calls  # M_ARENA_MAX
+
 
 class TestTrainLoop:
     def test_eta_clamped_to_floor(self):

@@ -269,3 +269,28 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="unknown activation or loss code 9"):
             net.load_checkpoint(path)
+
+    def test_every_header_byte_flipped_raises_value_error(self, tmp_path):
+        # magic, version, layer count, 3 widths, 2 activation codes, loss code, bias flag
+        data = self._saved(tmp_path)
+        path = tmp_path / "bad.ckpt"
+        for offset in range(4 + 8 + 4 * 3 + 4):
+            bad = bytearray(data)
+            bad[offset] ^= 0xFF
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ValueError):
+                net.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(self._saved(tmp_path) + b"\x00")
+        with pytest.raises(ValueError, match="1 unexpected bytes after the payload"):
+            net.load_checkpoint(path)
+
+    def test_bias_flag_other_than_0_or_1_rejected(self, tmp_path):
+        data = bytearray(self._saved(tmp_path))
+        data[27] = 2  # bias flag of a 3-layer checkpoint
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="bias flag must be 0 or 1, got 2"):
+            net.load_checkpoint(path)

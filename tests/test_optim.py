@@ -6,7 +6,7 @@ import pytest
 from rsgdlab import optim
 from rsgdlab.core import RngStream, ShapeError
 from rsgdlab.optim import (Adam, ExpGammaSchedule, Nag, PowerLawSchedule,
-                           Rsgd, Sgdm, VanillaSgd, memory_length_pmf,
+                           Rsgd, Sgdm, VanillaSgd, expected_tv, memory_length_pmf,
                            sgdm_unfold, simulate_memory_length)
 
 
@@ -211,6 +211,12 @@ class TestMemoryLengthPmf:
         emp = simulate_memory_length(sched, t, 100_000, RngStream(4, "reinforcement"))
         assert 0.5 * np.abs(emp - pmf).sum() < 0.01
 
+    def test_expected_tv_hand_value(self):
+        # 2 * sqrt(0.25 / (2 pi 50)) = 1 / (10 sqrt(pi))
+        assert expected_tv(np.array([0.5, 0.5]), 50) == pytest.approx(
+            0.05641895835477563, rel=1e-15)
+        assert expected_tv(np.array([1.0, 0.0]), 50) == 0.0
+
 
 def trailing_run_histogram(coins):
     """Reference: lengths of each row's trailing run of True, as a normalized histogram."""
@@ -229,7 +235,8 @@ class TestSimulateMemoryLength:
     @pytest.mark.parametrize("runs_per_block", [1, 2, 3])
     def test_blocks_equal_one_draw(self, monkeypatch, t, runs_per_block):
         # 11 runs: the last block is partial for 2 and 3 runs per block
-        monkeypatch.setattr(optim, "SIM_BLOCK", runs_per_block * max(t, 1))
+        monkeypatch.setattr(optim, "SIM_BLOCK",
+                            runs_per_block * max(t, 1) * optim._usable_cpus())
         sched = PowerLawSchedule(1.0, 0.5)
         probs = np.array([sched.gamma(l) for l in range(1, t + 1)])
         expected = trailing_run_histogram(RngStream(8, "reinforcement").uniform((11, t)) < probs)
@@ -252,3 +259,64 @@ class TestSimulateMemoryLength:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("t", [0, 5])
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    def test_no_runs_rejected(self, t, n_runs):
+        with pytest.raises(ValueError, match="n_runs"):
+            simulate_memory_length(PowerLawSchedule(1.0, 0.5), t, n_runs,
+                                   RngStream(0, "reinforcement"))
+
+
+def sequential_histogram(sched, t, n_runs, rng, chunk=2000):
+    """Reference: runs drawn one after another from ``rng``, lengths by cumprod."""
+    probs = np.array([sched.gamma(l) for l in range(1, t + 1)])
+    counts = np.zeros(t + 1, dtype=np.int64)
+    for start in range(0, n_runs, chunk):
+        coins = rng.uniform((min(chunk, n_runs - start), t)) < probs
+        lengths = np.cumprod(coins[:, ::-1], axis=1).sum(axis=1)
+        counts += np.bincount(lengths, minlength=t + 1)
+    return counts / n_runs
+
+
+class TestSimulationParts:
+    """One part per usable CPU gives the same coins, histogram and stream state."""
+
+    @pytest.mark.parametrize("sched", [PowerLawSchedule(1.0, 0.5),
+                                       ExpGammaSchedule(0.9995, 0.0001)],
+                             ids=["power_law", "exp_gamma"])
+    @pytest.mark.parametrize("t, n_runs", [(300, 100_000), (60, 100_000), (1, 7),
+                                           (40, 12345), (5000, 300), (70000, 3)])
+    def test_parts_equal_one_sequential_draw(self, monkeypatch, sched, t, n_runs):
+        ref = RngStream(4, "reinforcement")
+        expected = sequential_histogram(sched, t, n_runs, ref)
+        for parts in (1, 2, 3, 7):
+            monkeypatch.setattr(optim, "_usable_cpus", lambda: parts)
+            rng = RngStream(4, "reinforcement")
+            got = simulate_memory_length(sched, t, n_runs, rng)
+            assert got.tobytes() == expected.tobytes(), parts
+            assert rng._gen.bit_generator.state == ref._gen.bit_generator.state, parts
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 7])
+    def test_buffered_32_bit_half_survives(self, monkeypatch, parts):
+        monkeypatch.setattr(optim, "_usable_cpus", lambda: parts)
+        rng, ref = RngStream(9, "reinforcement"), RngStream(9, "reinforcement")
+        for stream in (rng, ref):
+            stream._gen.integers(0, 1000, size=1, dtype=np.uint32)
+        sched = PowerLawSchedule(1.0, 0.5)
+        got = simulate_memory_length(sched, 40, 12345, rng)
+        assert got.tobytes() == sequential_histogram(sched, 40, 12345, ref).tobytes()
+        assert rng._gen.bit_generator.state == ref._gen.bit_generator.state
+        assert np.array_equal(rng._gen.integers(0, 1000, size=4, dtype=np.uint32),
+                              ref._gen.integers(0, 1000, size=4, dtype=np.uint32))
+
+    def test_parts_are_whole_blocks(self, monkeypatch):
+        # 3 CPUs, 2 runs per block: 11 runs make 6 blocks, cut 2 + 2 + 2 blocks
+        monkeypatch.setattr(optim, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(optim, "SIM_BLOCK", 3 * 2 * 5)
+        seen = []
+        split = RngStream.split
+        monkeypatch.setattr(RngStream, "split",
+                            lambda self, counts: seen.append(list(counts)) or split(self, counts))
+        simulate_memory_length(PowerLawSchedule(1.0, 0.5), 5, 11, RngStream(0, "reinforcement"))
+        assert seen == [[4 * 5, 4 * 5, 3 * 5]]
