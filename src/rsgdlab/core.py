@@ -1,4 +1,4 @@
-"""Shared types, an exact binary read, and labeled, reproducible random streams.
+"""Shared types, exact binary reads, and labeled, reproducible random streams.
 
 All numerical state in this package is float64 numpy arrays.  Randomness is
 funneled through :class:`RngStream` so that every consumer (weight init, data
@@ -11,6 +11,7 @@ reinforcement coins.
 from __future__ import annotations
 
 import copy
+import math
 import os
 import zlib
 
@@ -23,16 +24,37 @@ class ShapeError(ValueError):
     """Raised when matrix operands have incompatible shapes."""
 
 
+def _check_left(f, size: int, path, error: type[ValueError]) -> None:
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise error(f"{path}: truncated file, expected {size} more bytes, {left} left")
+
+
 def read_exact(f, size: int, path, error: type[ValueError] = ValueError) -> bytes:
     """The next ``size`` bytes of binary file ``f``; ``error`` if it ends first.
 
     The length is checked against the file before reading, so a corrupt size
     field never asks for more memory than the file holds.
     """
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if size > left:
-        raise error(f"{path}: truncated file, expected {size} more bytes, {left} left")
+    _check_left(f, size, path, error)
     return f.read(size)
+
+
+def read_array(f, shape, dtype, path, error: type[ValueError] = ValueError) -> np.ndarray:
+    """The next ``prod(shape)`` items of binary file ``f`` as a new C-contiguous array.
+
+    The payload size is checked against the file before the array is
+    allocated, as in :func:`read_exact`, and the file is read straight into
+    the array, so the payload is held in memory once.  ``error`` if the file
+    ends first.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    _check_left(f, size, path, error)
+    out = np.empty(shape, dtype)
+    got = f.readinto(out)
+    if got != size:
+        raise error(f"{path}: truncated file, expected {size} more bytes, read {got}")
+    return out
 
 
 def check_end(f, path) -> None:

@@ -6,13 +6,12 @@ arrays); the network consumes transposed slices (examples as columns).
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, check_end, read_exact
+from .core import RngStream, check_end, read_array, read_exact
 from .network import sigmoid
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -94,8 +93,8 @@ def one_hot(labels: np.ndarray, n_classes: int = 10) -> np.ndarray:
     return out
 
 
-def _read_idx(path, magic: int, n_dims: int) -> tuple[tuple[int, ...], bytes]:
-    """An IDX file's dimension sizes and its payload of unsigned bytes.
+def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
+    """An IDX file's payload of unsigned bytes, shaped by its dimension sizes.
 
     Every read is checked against the file size first, so a corrupt header
     raises IdxTruncatedError without allocating what it claims.
@@ -105,20 +104,21 @@ def _read_idx(path, magic: int, n_dims: int) -> tuple[tuple[int, ...], bytes]:
         if found != magic:
             raise IdxMagicError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
         dims = struct.unpack(f">{n_dims}I", read_exact(f, 4 * n_dims, path, IdxTruncatedError))
-        return dims, read_exact(f, math.prod(dims), path, IdxTruncatedError)
+        payload = read_array(f, dims, np.uint8, path, IdxTruncatedError)
+        check_end(f, path)
+        return payload
 
 
 def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
     """Parse the big-endian IDX pair; pixels scaled to [0,1], labels one-hot."""
-    (count, rows, cols), payload = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    (label_count,), raw = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
-    labels = np.frombuffer(raw, dtype=np.uint8)
-    if label_count != count:
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    count, rows, cols = images.shape
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
+    if len(labels) != count:
         raise IdxCountMismatchError(
-            f"{images_path} has {count} images but {labels_path} has {label_count} labels")
+            f"{images_path} has {count} images but {labels_path} has {len(labels)} labels")
     return LabeledDataset(
-        inputs=pixels.astype(np.float64) / 255.0,
+        inputs=images.reshape(count, rows * cols).astype(np.float64) / 255.0,
         targets=one_hot(labels.astype(np.int64)),
         kind="classification",
         raw_labels=labels.astype(np.int64),
@@ -164,19 +164,23 @@ def save_dataset(path, dataset: LabeledDataset) -> None:
     with open(path, "wb") as f:
         f.write(_DS_MAGIC)
         f.write(struct.pack("<III", dataset.n_in, dataset.n_out, len(dataset)))
-        f.write(np.ascontiguousarray(dataset.inputs, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(dataset.targets, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(dataset.inputs, dtype="<f8"))
+        f.write(np.ascontiguousarray(dataset.targets, dtype="<f8"))
 
 
 def load_dataset(path) -> LabeledDataset:
+    """The dataset in a file written by :func:`save_dataset`.
+
+    The header's sizes are checked against the file before anything is
+    allocated, and the inputs and targets are read straight into their final
+    C-contiguous ``<f8`` arrays, so an N-byte file needs about N bytes of
+    memory.  ``ValueError`` on a bad magic, a short file or trailing bytes.
+    """
     with open(path, "rb") as f:
         if f.read(len(_DS_MAGIC)) != _DS_MAGIC:
             raise ValueError(f"{path}: not a dataset file (bad magic)")
         n_in, n_out, count = struct.unpack("<III", read_exact(f, 12, path))
-        inputs = np.frombuffer(read_exact(f, 8 * count * n_in, path), dtype="<f8")
-        targets = np.frombuffer(read_exact(f, 8 * count * n_out, path), dtype="<f8")
+        inputs = read_array(f, (count, n_in), "<f8", path)
+        targets = read_array(f, (count, n_out), "<f8", path)
         check_end(f, path)
-        return LabeledDataset(
-            inputs=inputs.reshape(count, n_in).copy(),
-            targets=targets.reshape(count, n_out).copy(),
-        )
+        return LabeledDataset(inputs=inputs, targets=targets)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, RngStream, ShapeError, check_end, read_exact
+from .core import Matrix, RngStream, ShapeError, check_end, read_array, read_exact
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "relu")
 OUTPUT_ACTIVATIONS = ("sigmoid", "softmax")
@@ -249,10 +249,17 @@ def save_checkpoint(path, arch: Architecture, params: list[Matrix]) -> None:
                             _LOSS_CODES[arch.loss],
                             int(arch.use_bias)))
         for w in params:
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(w, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple[Architecture, list[Matrix]]:
+    """The architecture and parameters in a file written by :func:`save_checkpoint`.
+
+    Each layer's size is checked against the file before its matrix is
+    allocated, and the file is read straight into the final C-contiguous
+    ``<f8`` matrices.  ``ValueError`` on a bad magic, version, code or bias
+    flag, a short file or trailing bytes.
+    """
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
@@ -270,7 +277,6 @@ def load_checkpoint(path) -> tuple[Architecture, list[Matrix]]:
         arch = Architecture(widths=widths, hidden_activation=names[0],
                             output_activation=names[1], loss=names[2],
                             use_bias=bool(bias_flag))
-        params = [np.frombuffer(read_exact(f, 8 * rows * cols, path), dtype="<f8")
-                  .reshape(rows, cols).copy() for rows, cols in arch.weight_shapes()]
+        params = [read_array(f, shape, "<f8", path) for shape in arch.weight_shapes()]
         check_end(f, path)
         return arch, params

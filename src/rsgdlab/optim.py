@@ -43,7 +43,7 @@ class ExpGammaSchedule:
 
     def gamma(self, t: int, t_ep: int = 0) -> float:
         base = self.gamma0 * np.exp(-self.lam * t_ep)
-        return float(np.clip(1.0 - base ** t, 0.0, 1.0))
+        return float(min(max(1.0 - base ** t, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class PowerLawSchedule:
             raise ValueError(f"a0 and b0 must be > 0, got a0={self.a0}, b0={self.b0}")
 
     def gamma(self, t: int, t_ep: int = 0) -> float:
-        return float(np.clip(1.0 - self.a0 / (t + 1.0) ** self.b0, 0.0, 1.0))
+        return float(min(max(1.0 - self.a0 / (t + 1.0) ** self.b0, 0.0), 1.0))
 
 
 Schedule = ExpGammaSchedule | PowerLawSchedule

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import write_idx_pair
 from rsgdlab import cli, optim
 from rsgdlab.cli import build_parser, main
 
@@ -150,6 +151,20 @@ class TestEvalAndSurface:
                                "--mnist-images", str(images), "--mnist-labels", str(labels))
         assert code == 2
         assert err.strip().splitlines()[-1].startswith("error:")
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_eval_on_idx_trailing_bytes_exits_2(self, trained, tmp_path, capsys, which):
+        _, _, out = trained
+        images, labels = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        path = images if which == "images" else labels
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(out / "final.ckpt"),
+                               "--mnist-images", str(images), "--mnist-labels", str(labels))
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert lines[-1].startswith("error:") and "4 unexpected bytes" in lines[-1]
+        assert sum(line.startswith("error:") for line in lines) == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("corrupt", ["short_checkpoint", "short_dataset", "activation_code"])
     def test_corrupt_input_file_exits_2(self, trained, capsys, corrupt):

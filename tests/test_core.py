@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from rsgdlab.core import RngStream
+from rsgdlab.core import RngStream, read_array
 
 
 class TestGaussian:
@@ -75,3 +77,36 @@ class TestSplit:
         assert rng._gen.bit_generator.state == ref._gen.bit_generator.state
         assert np.array_equal(rng._gen.integers(0, 1000, size=4, dtype=np.uint32),
                               ref._gen.integers(0, 1000, size=4, dtype=np.uint32))
+
+
+class TestReadArray:
+    def test_reads_shape_and_dtype_then_stops(self, tmp_path):
+        path = tmp_path / "payload"
+        path.write_bytes(np.arange(6, dtype="<f8").tobytes() + b"tail")
+        with open(path, "rb") as f:
+            out = read_array(f, (2, 3), "<f8", path)
+            assert f.read() == b"tail"
+        assert out.dtype == np.dtype("<f8") and out.flags.c_contiguous and out.flags.writeable
+        assert np.array_equal(out, np.arange(6.0).reshape(2, 3))
+
+    def test_size_checked_before_allocating(self, tmp_path):
+        class Custom(ValueError):
+            pass
+
+        path = tmp_path / "short"
+        path.write_bytes(b"\x00" * 7)
+        with open(path, "rb") as f, pytest.raises(Custom, match=f"expected {2**63} more bytes"):
+            read_array(f, (2**40, 2**20), "<f8", path, Custom)  # 8 EiB if allocated
+        with open(path, "rb") as f, pytest.raises(Custom, match="expected 8 more bytes, 7 left"):
+            read_array(f, (1,), "<f8", path, Custom)
+
+    def test_short_read_raises(self, tmp_path):
+        class ShortReader(io.BufferedReader):
+            def readinto(self, b):
+                return super().readinto(memoryview(b).cast("B")[:-1])
+
+        path = tmp_path / "payload"
+        path.write_bytes(b"\x00" * 16)
+        with ShortReader(io.FileIO(path, "rb")) as f:
+            with pytest.raises(ValueError, match="expected 16 more bytes, read 15"):
+                read_array(f, (2,), "<f8", path)

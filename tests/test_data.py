@@ -104,6 +104,14 @@ class TestIdxLoader:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_trailing_bytes_rejected(self, tmp_path, which):
+        images, labels = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        path = images if which == "images" else labels
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(ValueError, match="4 unexpected bytes after the payload"):
+            load_mnist_idx(images, labels)
+
     def test_count_mismatch(self, tmp_path):
         images, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
         other = tmp_path / "other"
@@ -220,3 +228,51 @@ class TestDatasetContainer:
         path.write_bytes(self._saved(tmp_path) + b"\x00" * 3)
         with pytest.raises(ValueError, match="3 unexpected bytes after the payload"):
             load_dataset(path)
+
+    def test_header_larger_than_file(self, tmp_path):
+        path = tmp_path / "header-only.bin"
+        path.write_bytes(b"RSGD-DS" + struct.pack("<III", 3, 2, 0xFFFFFFFF) + b"\x00" * 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated file"):
+                load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_save_makes_no_copy_and_load_holds_the_payload_once(self, tmp_path):
+        # 2048 x 1024 inputs and 2048 x 8 targets: a 16.8 MB payload
+        rng = np.random.default_rng(0)
+        dataset = LabeledDataset(inputs=rng.random((2048, 1024)), targets=rng.random((2048, 8)))
+        path = tmp_path / "big.bin"
+        tracemalloc.start()
+        try:
+            save_dataset(path, dataset)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_dataset(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = dataset.inputs.nbytes + dataset.targets.nbytes
+        assert payload >= 16 << 20
+        assert save_peak < 1 << 20
+        assert load_peak <= payload + (1 << 20)
+        assert loaded.inputs.tobytes() == dataset.inputs.tobytes()
+        assert loaded.targets.tobytes() == dataset.targets.tobytes()
+
+    @pytest.mark.parametrize("layout", ["fortran_f8", "f4"])
+    def test_other_layouts_round_trip_as_c_contiguous_f8(self, tmp_path, layout):
+        rng = np.random.default_rng(1)
+        inputs, targets = rng.random((6, 3)), rng.random((6, 2))
+        if layout == "fortran_f8":
+            inputs, targets = np.asfortranarray(inputs), np.asfortranarray(targets)
+        else:
+            inputs, targets = inputs.astype(np.float32), targets.astype(np.float32)
+        path = tmp_path / "layout.bin"
+        save_dataset(path, LabeledDataset(inputs=inputs, targets=targets))
+        loaded = load_dataset(path)
+        for got, want in ((loaded.inputs, inputs), (loaded.targets, targets)):
+            assert got.dtype == np.dtype("<f8") and got.flags.c_contiguous
+            assert np.array_equal(got, want.astype(np.float64))

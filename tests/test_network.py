@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -294,3 +297,33 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="bias flag must be 0 or 1, got 2"):
             net.load_checkpoint(path)
+
+    def test_header_larger_than_file(self, tmp_path):
+        # widths 3, 2^32 - 1, 2; codes sigmoid, sigmoid, quadratic; bias on
+        path = tmp_path / "header-only.ckpt"
+        path.write_bytes(b"RSGD" + struct.pack("<II3I4B", 1, 3, 3, 0xFFFFFFFF, 2, 0, 0, 0, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated file"):
+                net.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        arch = net.Architecture([1024, 2048, 2])  # 2.1M parameters: a 16.8 MB payload
+        params = net.init_params(arch, RngStream(12, "weight-init"))
+        path = tmp_path / "big.ckpt"
+        net.save_checkpoint(path, arch, params)
+        tracemalloc.start()
+        try:
+            _, loaded = net.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = sum(w.nbytes for w in params)
+        assert peak <= payload + (1 << 20)
+        for a, b in zip(params, loaded):
+            assert b.dtype == np.dtype("<f8") and b.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()

@@ -39,6 +39,24 @@ class TestSchedules:
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("sched", [
+        ExpGammaSchedule(0.9995, 0.0001),
+        ExpGammaSchedule(0.5, 0.0),
+        PowerLawSchedule(1.0, 0.5),
+        PowerLawSchedule(2.0, 1.0),  # clamped to 0 at t = 0
+    ])
+    @pytest.mark.parametrize("t_ep", [0, 3])
+    def test_clamp_equals_np_clip_reference(self, sched, t_ep):
+        if isinstance(sched, ExpGammaSchedule):
+            base = sched.gamma0 * np.exp(-sched.lam * t_ep)
+            reference = lambda t: float(np.clip(1.0 - base ** t, 0.0, 1.0))
+        else:
+            reference = lambda t: float(np.clip(1.0 - sched.a0 / (t + 1.0) ** sched.b0, 0.0, 1.0))
+        for t in [*range(0, 200), *range(200, 70_001, 997), 70_000]:
+            value = sched.gamma(t, t_ep)
+            assert type(value) is float
+            assert value == reference(t)
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             ExpGammaSchedule(0.0, 0.0)
