@@ -87,8 +87,8 @@ OPTIONS = {
     "eta_floor": (None, {"type": float, "help": "default 0.001 for adam, else 0.02"}),
     "batch": (100, {"type": at_least(1)}),
     "epochs": (100, {"type": int}),
-    "train_count": (1000, {"type": at_least(1)}),
-    "test_count": (1000, {"type": at_least(1)}),
+    "train_count": (None, {"type": at_least(1), "help": "default: the file's count, else 1000"}),
+    "test_count": (None, {"type": at_least(1), "help": "default: the file's count, else 1000"}),
     "arch": ((100, 400, 200, 10), {"type": widths, "help": "layer widths, e.g. 100-400-200-10"}),
     "activation": ("sigmoid", {"type": name, "choices": ["sigmoid", "relu"]}),
     "loss": ("quadratic", {"type": name, "choices": ["quadratic", "cross_entropy"]}),
@@ -170,13 +170,11 @@ def _dataset_source(opts) -> tuple:
 
 
 def _build_train_config(opts) -> TrainConfig:
-    """The run ``opts`` describe; an unset eta0 or eta_floor takes the optimizer's default."""
+    """The run ``opts`` describe; the step sizes and counts it resolves go back into ``opts``."""
     optimizer = opts["optimizer"]
-    paper = (0.01, 0.001) if optimizer == "adam" else (0.8, 0.02)  # (eta0, eta_floor)
-    opts.update((key, v) for key, v in zip(("eta0", "eta_floor"), paper) if opts[key] is None)
     uses_schedule = optimizer == "rsgd" or opts["rho"] == "adaptive"
     output = "softmax" if opts["loss"] == "cross_entropy" else "sigmoid"
-    return TrainConfig(
+    config = TrainConfig(
         architecture=net.Architecture(list(opts["arch"]), opts["activation"], output, opts["loss"]),
         optimizer=optimizer,
         schedule=_build_schedule(opts) if uses_schedule else None,
@@ -186,6 +184,9 @@ def _build_train_config(opts) -> TrainConfig:
         train_count=opts["train_count"], test_count=opts["test_count"],
         seed=opts["seed"], dataset_source=_dataset_source(opts),
         checkpoint_epochs=opts["checkpoint_epochs"], metric=_metric(opts))
+    opts.update((key, getattr(config, key))
+                for key in ("eta0", "eta_floor", "train_count", "test_count"))
+    return config
 
 
 def _cmd_gen_data(args) -> int:

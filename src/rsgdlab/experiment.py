@@ -42,13 +42,13 @@ class TrainConfig:
     optimizer: str = "backprop"
     schedule: Schedule | None = None          # rsgd, or adaptive sgdm/nag
     rho: float | str | None = None            # sgdm/nag: momentum value or "adaptive"
-    eta0: float = 0.8
+    eta0: float | None = None                 # unset: 0.01 for adam, else 0.8
     beta: float = 0.999
-    eta_floor: float = 0.02
+    eta_floor: float | None = None            # unset: 0.001 for adam, else 0.02
     batch_size: int = 100
     epochs: int = 100
-    train_count: int = 1000
-    test_count: int = 1000
+    train_count: int | None = None            # unset: the files' counts, else 1000
+    test_count: int | None = None
     seed: int = 0
     dataset_source: tuple = ("teacher",)      # ("teacher",) | ("mnist", imgs, lbls) | ("files", train, test)
     checkpoint_epochs: tuple = ()
@@ -57,6 +57,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        if self.dataset_source[0] not in ("teacher", "mnist", "files"):
+            raise ValueError(f"unknown dataset source {self.dataset_source[0]!r}")
+        paper = (0.01, 0.001) if self.optimizer == "adam" else (0.8, 0.02)
+        self.eta0 = paper[0] if self.eta0 is None else self.eta0
+        self.eta_floor = paper[1] if self.eta_floor is None else self.eta_floor
+        if self.dataset_source[0] != "files":
+            self.train_count = 1000 if self.train_count is None else self.train_count
+            self.test_count = 1000 if self.test_count is None else self.test_count
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         if not (self.eta0 > 0 and self.eta_floor > 0):
@@ -67,7 +75,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if any(not 0 <= e <= self.epochs for e in self.checkpoint_epochs):
             raise ValueError(f"checkpoint epochs must lie in 0..{self.epochs}")
-        if self.train_count % self.batch_size != 0:
+        if self.train_count is not None and self.train_count % self.batch_size != 0:
             raise ValueError(
                 f"batch size {self.batch_size} must divide train count {self.train_count}")
         if self.optimizer == "rsgd" and self.schedule is None:
@@ -77,8 +85,6 @@ class TrainConfig:
                 raise ValueError(f"{self.optimizer} needs rho (a value or 'adaptive')")
             if self.rho == "adaptive" and self.schedule is None:
                 raise ValueError("adaptive momentum needs a schedule")
-        if self.dataset_source[0] not in ("teacher", "mnist", "files"):
-            raise ValueError(f"unknown dataset source {self.dataset_source[0]!r}")
         if self.dataset_source[0] == "teacher" and self.train_count != self.test_count:
             raise ValueError("teacher datasets are split in half: train_count must equal test_count")
 
@@ -141,9 +147,11 @@ def build_datasets(config: TrainConfig) -> tuple[data_mod.LabeledDataset, data_m
         pool = data_mod.load_mnist_idx(source[1], source[2])
         rng = RngStream(config.seed, "data-gen")
         return data_mod.subsample(pool, config.train_count, config.test_count, rng)
-    train = data_mod.load_dataset(source[1])
-    test = data_mod.load_dataset(source[2])
-    return train, test
+    sets = data_mod.load_dataset(source[1]), data_mod.load_dataset(source[2])
+    for path, count, dataset in zip(source[1:], (config.train_count, config.test_count), sets):
+        if count is not None and count != len(dataset):
+            raise ValueError(f"{path} holds {len(dataset)} examples, but its count is {count}")
+    return sets
 
 
 def _batch_gradient(params, arch, x, y_true):
@@ -196,7 +204,6 @@ def train(config: TrainConfig,
         test_error=evaluate(params, arch, test_set, config.metric),
         eta=eta, gamma=gamma_now(0, 0), wall_time_s=0.0)]
 
-    t = 0
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         t_ep = epoch - 1  # completed epochs while this one runs
@@ -212,9 +219,8 @@ def train(config: TrainConfig,
                 grads = _batch_gradient(params, arch, x, y_true)
                 deltas = optimizer.step(grads, eta, t_ep=t_ep)
             params = [w + d for w, d in zip(params, deltas)]
-            t += 1
 
-        gamma_logged = gamma_now(t, t_ep)
+        gamma_logged = gamma_now(optimizer.t, t_ep)
         # epoch-boundary refresh: eta compounds by beta^epoch, floored
         eta = max(eta * config.beta ** epoch, config.eta_floor)
 

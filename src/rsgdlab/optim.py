@@ -7,11 +7,12 @@ updates since the start of training, never resetting at epoch boundaries;
 ``t_ep`` counts completed epochs and only matters for the exponential-gamma
 schedule.
 
-The reinforced rule keeps one accumulator per weight component.  At every
-step each component independently keeps accumulating history with
-probability gamma(t), otherwise the accumulator resets to the instantaneous
-gradient.  Coins come from a dedicated stream so that switching optimizers
-never perturbs initialization or data order.
+Plain SGD, momentum and the reinforced rule are one recursion on a per-weight
+accumulator, a <- rho * a + g and delta = -eta * a (:class:`Sgdm`), differing
+only in rho: 0, a fixed or scheduled momentum, or a per-component coin that
+keeps the history with probability gamma(t) and otherwise resets it to the
+current gradient.  Coins come from a dedicated stream so that switching
+optimizers never perturbs initialization or data order.
 """
 
 from __future__ import annotations
@@ -75,49 +76,19 @@ def _check_congruent(buffers: list[Matrix], grads: list[Matrix]) -> None:
         raise ShapeError("gradient shapes do not match optimizer buffers")
 
 
-class VanillaSgd:
-    """Plain mini-batch gradient descent: delta = -eta * g."""
-
-    def __init__(self, shapes_template: list[Matrix]):
-        self._shapes = [w.shape for w in shapes_template]
-        self.t = 0
-
-    def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
-        if [g.shape for g in grads] != self._shapes:
-            raise ShapeError("gradient shapes do not match optimizer buffers")
-        self.t += 1
-        return [-eta * g for g in grads]
-
-
-class Rsgd:
-    """Reinforced SGD: stochastic per-component accumulation of gradients."""
-
-    def __init__(self, shapes_template: list[Matrix], schedule: Schedule, rng: RngStream):
-        self.accumulated = _zeros_like(shapes_template)
-        self.schedule = schedule
-        self.rng = rng
-        self.t = 0
-
-    def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
-        _check_congruent(self.accumulated, grads)
-        p = self.schedule.gamma(self.t, t_ep)
-        new = []
-        for g, prev in zip(grads, self.accumulated):
-            keep = self.rng.bernoulli_matrix(p, g.shape)
-            new.append(g + keep * prev)
-        self.accumulated = new
-        self.t += 1
-        return [-eta * g for g in new]
-
-
 class Sgdm:
-    """Momentum SGD; rho either fixed or adaptive (rho_t = gamma(t))."""
+    """Accumulate and step: a <- rho * a + g, delta = -eta * a.
+
+    rho is a fixed momentum or, with ``"adaptive"``, gamma(t) of ``schedule``.
+    Plain SGD (:class:`VanillaSgd`) is rho = 0 and R-SGD (:class:`Rsgd`)
+    replaces rho by a per-component Bernoulli(gamma(t)) coin.
+    """
 
     def __init__(self, shapes_template: list[Matrix], rho: float | str,
                  schedule: Schedule | None = None):
         if rho == "adaptive" and schedule is None:
             raise ValueError("adaptive momentum needs a schedule")
-        self.velocity = _zeros_like(shapes_template)
+        self.accumulated = _zeros_like(shapes_template)
         self.rho = rho
         self.schedule = schedule
         self.t = 0
@@ -127,12 +98,39 @@ class Sgdm:
             return self.schedule.gamma(self.t, t_ep)
         return float(self.rho)
 
+    def _factor(self, rho: float, shape) -> float | Matrix:
+        """What multiplies one layer's accumulated gradient this step."""
+        return rho
+
     def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
-        _check_congruent(self.velocity, grads)
+        _check_congruent(self.accumulated, grads)
         rho = self._rho_at(t_ep)
-        self.velocity = [rho * v + g for v, g in zip(self.velocity, grads)]
+        self.accumulated = [self._factor(rho, g.shape) * a + g
+                            for a, g in zip(self.accumulated, grads)]
         self.t += 1
-        return [-eta * v for v in self.velocity]
+        return [-eta * a for a in self.accumulated]
+
+
+class VanillaSgd(Sgdm):
+    """Plain mini-batch gradient descent: rho = 0, so delta = -eta * g."""
+
+    def __init__(self, shapes_template: list[Matrix]):
+        super().__init__(shapes_template, 0.0)
+
+    step = Sgdm.step  # in vars(VanillaSgd) too, so bench/spans.py times it apart from Sgdm's
+
+
+class Rsgd(Sgdm):
+    """Reinforced SGD: rho is a Bernoulli(gamma(t)) coin per component, from ``rng``."""
+
+    def __init__(self, shapes_template: list[Matrix], schedule: Schedule, rng: RngStream):
+        super().__init__(shapes_template, "adaptive", schedule)
+        self.rng = rng
+
+    def _factor(self, rho: float, shape) -> Matrix:
+        return self.rng.bernoulli_matrix(rho, shape)
+
+    step = Sgdm.step  # in vars(Rsgd) too, so bench/spans.py times it apart from Sgdm's
 
 
 class Nag(Sgdm):
@@ -147,15 +145,15 @@ class Nag(Sgdm):
 
     def step(self, params: list[Matrix], eta: float, gradient_oracle,
              t_ep: int = 0) -> list[Matrix]:
-        _check_congruent(self.velocity, params)
+        _check_congruent(self.accumulated, params)
         rho = self._rho_at(t_ep)
-        lookahead = [w + rho * v for w, v in zip(params, self.velocity)]
+        lookahead = [w + rho * v for w, v in zip(params, self.accumulated)]
         grads = gradient_oracle(lookahead)
         self.oracle_calls += 1
-        _check_congruent(self.velocity, grads)
-        self.velocity = [rho * v - eta * g for v, g in zip(self.velocity, grads)]
+        _check_congruent(self.accumulated, grads)
+        self.accumulated = [rho * v - eta * g for v, g in zip(self.accumulated, grads)]
         self.t += 1
-        return list(self.velocity)
+        return list(self.accumulated)
 
 
 class Adam:
@@ -197,14 +195,8 @@ def memory_length_pmf(schedule: Schedule, t: int) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    g = np.array([schedule.gamma(l) for l in range(t + 1)])
-    g[0] = 0.0
-    pmf = np.empty(t + 1)
-    suffix = 1.0  # product of gamma over steps t-L+1 .. t
-    for length in range(t + 1):
-        pmf[length] = (1.0 - g[t - length]) * suffix
-        suffix *= g[t - length]
-    return pmf
+    back = np.array([schedule.gamma(l) for l in range(t, 0, -1)] + [0.0])  # gamma at step t-L
+    return (1.0 - back) * np.concatenate(([1.0], np.cumprod(back)[:-1]))
 
 
 def expected_tv(pmf: np.ndarray, n: int) -> float:

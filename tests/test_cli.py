@@ -107,6 +107,47 @@ class TestSuite:
         assert len(lines) == 3
 
 
+class TestFileCounts:
+    """With --data-train/--data-test the files set the counts; a count given must match."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        code, _, _ = run_cli(capsys, "gen-data", "--n-in", "4", "--n-out", "3",
+                             "--count", "180", "--out", str(data_dir))  # 90 and 90
+        assert code == 0
+        return ["--arch", "4-6-3", "--epochs", "1",
+                "--data-train", str(data_dir / "train.bin"),
+                "--data-test", str(data_dir / "test.bin")]
+
+    @pytest.mark.parametrize("command", [["train"], ["suite", "--runs", "1"]])
+    @pytest.mark.parametrize("count, which", [(["--train-count", "50"], "train"),
+                                              (["--test-count", "30"], "test")])
+    def test_count_unlike_the_file_is_an_error(self, capsys, files, command, count, which):
+        path = files[files.index(f"--data-{which}") + 1]
+        code, out, err = run_cli(capsys, *command, *files, "--batch", "10", *count)
+        assert code == 2
+        assert [l for l in err.splitlines() if not l.startswith("#")] == [
+            f"error: {path} holds 90 examples, but its count is {count[1]}"]
+        assert out == ""
+
+    def test_batch_is_checked_against_the_files(self, capsys, files):
+        code, out, _ = run_cli(capsys, "train", *files, "--batch", "30")
+        assert code == 0 and len(out.splitlines()) == 3  # header, epochs 0 and 1
+        code, _, err = run_cli(capsys, "train", *files, "--batch", "40")
+        assert code == 2
+        assert err.splitlines()[-1] == "error: batch size 40 must divide example count 90"
+
+    def test_matching_counts_train_as_unset_ones(self, capsys, files):
+        runs = []
+        for counts in ([], ["--train-count", "90", "--test-count", "90"]):
+            code, out, err = run_cli(capsys, "train", *files, "--batch", "30", *counts)
+            assert code == 0
+            runs.append([line.rsplit(",", 1)[0] for line in out.splitlines()])  # drop wall time
+        assert runs[0] == runs[1]
+        assert "# train_count = 90" in err.splitlines()
+
+
 class TestEvalAndSurface:
     @pytest.fixture
     def trained(self, tmp_path, capsys):

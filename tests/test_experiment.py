@@ -223,6 +223,17 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             toy_config(optimizer="nonsense")
 
+    @pytest.mark.parametrize("optimizer, given, eta0, eta_floor", [
+        ("adam", {}, 0.01, 0.001),
+        ("adam", {"eta0": 0.8}, 0.8, 0.001),
+        ("backprop", {}, 0.8, 0.02),
+        ("backprop", {"eta_floor": 0.5}, 0.8, 0.5),
+    ])
+    def test_unset_step_sizes_take_the_optimizers_defaults(self, optimizer, given, eta0,
+                                                           eta_floor):
+        cfg = TrainConfig(net.Architecture([4, 6, 3]), optimizer=optimizer, **given)
+        assert (cfg.eta0, cfg.eta_floor) == (eta0, eta_floor)
+
 
 class TestSuite:
     def test_single_run_aggregate(self):

@@ -84,6 +84,17 @@ class TestRsgd:
             delta = opt.step([g], 1.0)[0]
         assert np.allclose(-delta, np.sum(grads, axis=0), atol=1e-12)
 
+    def test_certain_reinforcement_is_unit_momentum(self):
+        # 1 - 1e-300 / (t + 1) rounds to 1.0 at every t, so every coin keeps
+        opt = Rsgd(template((2, 3), (4, 1)), PowerLawSchedule(1e-300, 1.0),
+                   RngStream(0, "reinforcement"))
+        ref = Sgdm(template((2, 3), (4, 1)), rho=1.0)
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            g = [rng.standard_normal((2, 3)), rng.standard_normal((4, 1))]
+            for a, b in zip(opt.step(g, 0.1), ref.step(g, 0.1)):
+                assert np.array_equal(a, b)
+
     def test_conditional_expectation_monte_carlo(self):
         g = np.array([[0.5, -1.0], [2.0, 0.1]])
         prev = np.array([[1.0, 3.0], [-2.0, 0.7]])
@@ -114,6 +125,20 @@ class TestSgdm:
         opt = Sgdm(template((2, 2)), rho=0.0)
         g = np.ones((2, 2))
         assert np.array_equal(opt.step([g], 0.5)[0], -0.5 * g)
+
+    def test_vanilla_is_zero_momentum(self):
+        opt = VanillaSgd(template((2, 3), (4, 1)))
+        ref = Sgdm(template((2, 3), (4, 1)), rho=0.0)
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            g = [rng.standard_normal((2, 3)), rng.standard_normal((4, 1))]
+            for a, b in zip(opt.step(g, 0.3), ref.step(g, 0.3)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("cls", [VanillaSgd, Rsgd, Sgdm, Nag, Adam])
+    def test_each_class_owns_its_step(self, cls):
+        # bench/spans.py wraps "<Class>.step" through vars(cls), one span per class
+        assert callable(vars(cls).get("step"))
 
     def test_unit_momentum_telescopes(self):
         opt = Sgdm(template((1, 1)), rho=1.0)
@@ -221,6 +246,22 @@ class TestMemoryLengthPmf:
         assert pmf.shape == (t + 1,)
         assert np.all(pmf >= 0.0)
         assert abs(pmf.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("sched", [
+        ExpGammaSchedule(0.9995, 0.0001),
+        ExpGammaSchedule(0.5, 0.0),
+        PowerLawSchedule(1.0, 0.5),
+        PowerLawSchedule(2.0, 1.0),
+    ])
+    @pytest.mark.parametrize("t", [0, 1, 7, 300, 5000, 70_000])
+    def test_equals_loop_reference(self, sched, t):
+        g = [0.0] + [sched.gamma(l) for l in range(1, t + 1)]
+        expected = np.empty(t + 1)
+        suffix = 1.0  # product of gamma over steps t-L+1 .. t
+        for length in range(t + 1):
+            expected[length] = (1.0 - g[t - length]) * suffix
+            suffix *= g[t - length]
+        assert memory_length_pmf(sched, t).tobytes() == expected.tobytes()
 
     def test_simulation_agrees_with_analytic(self):
         sched = PowerLawSchedule(1.0, 0.5)
