@@ -22,8 +22,8 @@ from . import network as net
 from . import optim
 from . import surface as surface_mod
 from .core import RngStream
-from .experiment import (DivergenceError, TrainConfig, _open_csv, evaluate, run_suite,
-                         train, write_aggregate_csv, write_metrics_csv)
+from .experiment import (OPTIMIZERS, DivergenceError, TrainConfig, _open_csv, evaluate,
+                         run_suite, train, write_aggregate_csv, write_metrics_csv)
 
 
 class UsageError(Exception):
@@ -75,7 +75,7 @@ def even_count(value: str) -> int:
 # key -> (default, argparse keywords); the flag is the key with '-' for '_'.
 OPTIONS = {
     "seed": (0, {"type": int}),
-    "optimizer": ("rsgd", {"type": name, "choices": ["backprop", "rsgd", "sgdm", "nag", "adam"]}),
+    "optimizer": ("rsgd", {"type": name, "choices": OPTIMIZERS}),
     "schedule": ("exp_gamma", {"type": name, "choices": ["exp_gamma", "power_law"]}),
     "gamma0": (0.9995, {"type": float}),
     "lambda": (0.0001, {"type": float}),
@@ -90,8 +90,8 @@ OPTIONS = {
     "train_count": (None, {"type": at_least(1), "help": "default: the file's count, else 1000"}),
     "test_count": (None, {"type": at_least(1), "help": "default: the file's count, else 1000"}),
     "arch": ((100, 400, 200, 10), {"type": widths, "help": "layer widths, e.g. 100-400-200-10"}),
-    "activation": ("sigmoid", {"type": name, "choices": ["sigmoid", "relu"]}),
-    "loss": ("quadratic", {"type": name, "choices": ["quadratic", "cross_entropy"]}),
+    "activation": ("sigmoid", {"type": name, "choices": net.HIDDEN_ACTIVATIONS}),
+    "loss": ("quadratic", {"type": name, "choices": net.LOSSES}),
     "metric": ("mse", {"type": name, "choices": ["mse", "classification"]}),
     "checkpoint_epochs": ((), {"type": epoch_list, "help": "comma-separated epoch list"}),
     "mnist_images": (None, {}),

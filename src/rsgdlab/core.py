@@ -1,4 +1,4 @@
-"""Shared types, exact binary reads, and labeled, reproducible random streams.
+"""Shared types, checked array reads, and labeled, reproducible random streams.
 
 All numerical state in this package is float64 numpy arrays.  Randomness is
 funneled through :class:`RngStream` so that every consumer (weight init, data
@@ -24,32 +24,23 @@ class ShapeError(ValueError):
     """Raised when matrix operands have incompatible shapes."""
 
 
-def _check_left(f, size: int, path, error: type[ValueError]) -> None:
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if size > left:
-        raise error(f"{path}: truncated file, expected {size} more bytes, {left} left")
-
-
-def read_exact(f, size: int, path, error: type[ValueError] = ValueError) -> bytes:
-    """The next ``size`` bytes of binary file ``f``; ``error`` if it ends first.
-
-    The length is checked against the file before reading, so a corrupt size
-    field never asks for more memory than the file holds.
-    """
-    _check_left(f, size, path, error)
-    return f.read(size)
+def _left(f) -> int:
+    """Bytes in binary file ``f`` after the current position."""
+    return os.fstat(f.fileno()).st_size - f.tell()
 
 
 def read_array(f, shape, dtype, path, error: type[ValueError] = ValueError) -> np.ndarray:
     """The next ``prod(shape)`` items of binary file ``f`` as a new C-contiguous array.
 
-    The payload size is checked against the file before the array is
-    allocated, as in :func:`read_exact`, and the file is read straight into
-    the array, so the payload is held in memory once.  ``error`` if the file
-    ends first.
+    The size is checked against the file before the array is allocated, so a
+    corrupt size field never asks for more memory than the file holds, and
+    the file is read straight into the array, so the payload is held in
+    memory once.  ``error`` if the file ends first.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize
-    _check_left(f, size, path, error)
+    left = _left(f)
+    if size > left:
+        raise error(f"{path}: truncated file, expected {size} more bytes, {left} left")
     out = np.empty(shape, dtype)
     got = f.readinto(out)
     if got != size:
@@ -59,7 +50,7 @@ def read_array(f, shape, dtype, path, error: type[ValueError] = ValueError) -> n
 
 def check_end(f, path) -> None:
     """``ValueError`` if binary file ``f`` holds bytes after the current position."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
+    left = _left(f)
     if left:
         raise ValueError(f"{path}: {left} unexpected bytes after the payload")
 

@@ -6,12 +6,11 @@ arrays); the network consumes transposed slices (examples as columns).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, check_end, read_array, read_exact
+from .core import RngStream, check_end, read_array
 from .network import sigmoid
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -100,10 +99,11 @@ def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
     raises IdxTruncatedError without allocating what it claims.
     """
     with open(path, "rb") as f:
-        (found,) = struct.unpack(">I", read_exact(f, 4, path, IdxTruncatedError))
+        (found,) = read_array(f, (1,), ">u4", path, IdxTruncatedError).tolist()
         if found != magic:
             raise IdxMagicError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
-        dims = struct.unpack(f">{n_dims}I", read_exact(f, 4 * n_dims, path, IdxTruncatedError))
+        # Python ints, so the payload size of a corrupt header cannot wrap in uint32
+        dims = read_array(f, (n_dims,), ">u4", path, IdxTruncatedError).tolist()
         payload = read_array(f, dims, np.uint8, path, IdxTruncatedError)
         check_end(f, path)
         return payload
@@ -163,7 +163,7 @@ _DS_MAGIC = b"RSGD-DS"
 def save_dataset(path, dataset: LabeledDataset) -> None:
     with open(path, "wb") as f:
         f.write(_DS_MAGIC)
-        f.write(struct.pack("<III", dataset.n_in, dataset.n_out, len(dataset)))
+        f.write(np.array([dataset.n_in, dataset.n_out, len(dataset)], "<u4"))
         f.write(np.ascontiguousarray(dataset.inputs, dtype="<f8"))
         f.write(np.ascontiguousarray(dataset.targets, dtype="<f8"))
 
@@ -179,7 +179,7 @@ def load_dataset(path) -> LabeledDataset:
     with open(path, "rb") as f:
         if f.read(len(_DS_MAGIC)) != _DS_MAGIC:
             raise ValueError(f"{path}: not a dataset file (bad magic)")
-        n_in, n_out, count = struct.unpack("<III", read_exact(f, 12, path))
+        n_in, n_out, count = read_array(f, (3,), "<u4", path).tolist()
         inputs = read_array(f, (count, n_in), "<f8", path)
         targets = read_array(f, (count, n_out), "<f8", path)
         check_end(f, path)

@@ -18,7 +18,7 @@ import numpy as np
 from . import data as data_mod
 from . import network as net
 from .core import RngStream
-from .optim import (Adam, Nag, Rsgd, Schedule, Sgdm, VanillaSgd)
+from .optim import Adam, Nag, Rsgd, Schedule, Sgdm, VanillaSgd
 
 OPTIMIZERS = ("backprop", "rsgd", "sgdm", "nag", "adam")
 METRICS = ("mse", "classification_error")
@@ -105,7 +105,7 @@ class TrainResult:
     history: list[MetricsRecord]
     params: list[np.ndarray]
     checkpoints: dict[int, list[np.ndarray]] = field(default_factory=dict)
-    oracle_calls: int = 0
+    oracle_calls: int = 0                     # nag: look-ahead gradients, one per step
 
     @property
     def final_test_error(self) -> float:
@@ -152,11 +152,6 @@ def build_datasets(config: TrainConfig) -> tuple[data_mod.LabeledDataset, data_m
         if count is not None and count != len(dataset):
             raise ValueError(f"{path} holds {len(dataset)} examples, but its count is {count}")
     return sets
-
-
-def _batch_gradient(params, arch, x, y_true):
-    trace = net.forward(params, arch, x)
-    return net.backward(params, arch, trace, y_true)
 
 
 def _make_optimizer(config: TrainConfig, params):
@@ -208,17 +203,11 @@ def train(config: TrainConfig,
         started = time.perf_counter()
         t_ep = epoch - 1  # completed epochs while this one runs
         for idx in plan.epoch_batches():
-            x = train_set.inputs[idx].T
-            y_true = train_set.targets[idx].T
-            if config.optimizer == "nag":
-                deltas = optimizer.step(
-                    params, eta,
-                    lambda shifted: _batch_gradient(shifted, arch, x, y_true),
-                    t_ep=t_ep)
-            else:
-                grads = _batch_gradient(params, arch, x, y_true)
-                deltas = optimizer.step(grads, eta, t_ep=t_ep)
-            params = [w + d for w, d in zip(params, deltas)]
+            x, y_true = train_set.inputs[idx].T, train_set.targets[idx].T
+            at = optimizer.lookahead(params, t_ep)
+            # the trace and the deltas stay unnamed, so neither outlives its statement
+            grads = net.backward(at, arch, net.forward(at, arch, x), y_true)
+            params = [w + d for w, d in zip(params, optimizer.step(grads, eta, t_ep=t_ep))]
 
         gamma_logged = gamma_now(optimizer.t, t_ep)
         # epoch-boundary refresh: eta compounds by beta^epoch, floored
@@ -240,7 +229,7 @@ def train(config: TrainConfig,
 
     return TrainResult(config=config, history=history, params=params,
                        checkpoints=checkpoints,
-                       oracle_calls=getattr(optimizer, "oracle_calls", 0))
+                       oracle_calls=optimizer.t if isinstance(optimizer, Nag) else 0)
 
 
 @dataclass

@@ -9,12 +9,11 @@ mini-batch average gradient.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, RngStream, ShapeError, check_end, read_array, read_exact
+from .core import Matrix, RngStream, ShapeError, check_end, read_array
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "relu")
 OUTPUT_ACTIVATIONS = ("sigmoid", "softmax")
@@ -241,13 +240,11 @@ def save_checkpoint(path, arch: Architecture, params: list[Matrix]) -> None:
     check_params(arch, params)
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<II", _VERSION, arch.n_layers))
-        f.write(struct.pack(f"<{arch.n_layers}I", *arch.widths))
-        f.write(struct.pack("<BBBB",
-                            _ACT_CODES[arch.hidden_activation],
-                            _ACT_CODES[arch.output_activation],
-                            _LOSS_CODES[arch.loss],
-                            int(arch.use_bias)))
+        f.write(np.array([_VERSION, arch.n_layers, *arch.widths], "<u4"))
+        f.write(np.array([_ACT_CODES[arch.hidden_activation],
+                          _ACT_CODES[arch.output_activation],
+                          _LOSS_CODES[arch.loss],
+                          int(arch.use_bias)], "u1"))
         for w in params:
             f.write(np.ascontiguousarray(w, dtype="<f8"))
 
@@ -263,11 +260,11 @@ def load_checkpoint(path) -> tuple[Architecture, list[Matrix]]:
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        version, n_layers = struct.unpack("<II", read_exact(f, 8, path))
+        version, n_layers = read_array(f, (2,), "<u4", path).tolist()
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        widths = list(struct.unpack(f"<{n_layers}I", read_exact(f, 4 * n_layers, path)))
-        h_act, o_act, loss_code, bias_flag = struct.unpack("<BBBB", read_exact(f, 4, path))
+        widths = read_array(f, (n_layers,), "<u4", path).tolist()
+        h_act, o_act, loss_code, bias_flag = read_array(f, (4,), "u1", path).tolist()
         try:
             names = _ACT_NAMES[h_act], _ACT_NAMES[o_act], _LOSS_NAMES[loss_code]
         except KeyError as exc:

@@ -1,11 +1,12 @@
 """Optimizers and reinforcement schedules.
 
-Five update rules share one convention: ``step`` consumes the current
-mini-batch gradient (averaged over the batch) and returns the parameter
-delta to ADD to the weights.  The step counter ``t`` counts mini-batch
-updates since the start of training, never resetting at epoch boundaries;
-``t_ep`` counts completed epochs and only matters for the exponential-gamma
-schedule.
+Five update rules share one protocol: ``lookahead(params, t_ep)`` is the
+point where this step's gradient is taken (``params`` itself for all but
+Nesterov momentum), and ``step(grads, eta, t_ep)`` consumes the mini-batch
+gradient there (averaged over the batch) and returns the parameter delta to
+ADD to the weights.  The step counter ``t`` counts mini-batch updates since
+the start of training, never resetting at epoch boundaries; ``t_ep`` counts
+completed epochs and only matters for the exponential-gamma schedule.
 
 Plain SGD, momentum and the reinforced rule are one recursion on a per-weight
 accumulator, a <- rho * a + g and delta = -eta * a (:class:`Sgdm`), differing
@@ -102,6 +103,10 @@ class Sgdm:
         """What multiplies one layer's accumulated gradient this step."""
         return rho
 
+    def lookahead(self, params: list[Matrix], t_ep: int = 0) -> list[Matrix]:
+        """Where this step's gradient is taken: ``params`` itself, not a copy."""
+        return params
+
     def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
         _check_congruent(self.accumulated, grads)
         rho = self._rho_at(t_ep)
@@ -134,23 +139,16 @@ class Rsgd(Sgdm):
 
 
 class Nag(Sgdm):
-    """Nesterov momentum: gradient evaluated after a partial look-ahead update.
+    """Nesterov momentum: the gradient is taken at the look-ahead point w + rho * v."""
 
-    ``gradient_oracle`` maps a parameter list to the current mini-batch
-    gradient at those parameters; it is called exactly once per step and the
-    call count is exposed for cost accounting.
-    """
-
-    oracle_calls = 0
-
-    def step(self, params: list[Matrix], eta: float, gradient_oracle,
-             t_ep: int = 0) -> list[Matrix]:
+    def lookahead(self, params: list[Matrix], t_ep: int = 0) -> list[Matrix]:
         _check_congruent(self.accumulated, params)
         rho = self._rho_at(t_ep)
-        lookahead = [w + rho * v for w, v in zip(params, self.accumulated)]
-        grads = gradient_oracle(lookahead)
-        self.oracle_calls += 1
+        return [w + rho * v for w, v in zip(params, self.accumulated)]
+
+    def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
         _check_congruent(self.accumulated, grads)
+        rho = self._rho_at(t_ep)  # lookahead's rho: t has not moved since
         self.accumulated = [rho * v - eta * g for v, g in zip(self.accumulated, grads)]
         self.t += 1
         return list(self.accumulated)
@@ -159,14 +157,14 @@ class Nag(Sgdm):
 class Adam:
     """Adam with bias-corrected first and second raw moments."""
 
-    def __init__(self, shapes_template: list[Matrix], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, shapes_template: list[Matrix]):
         self.m = _zeros_like(shapes_template)
         self.v = _zeros_like(shapes_template)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
+
+    lookahead = Sgdm.lookahead
 
     def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
         _check_congruent(self.m, grads)

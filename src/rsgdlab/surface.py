@@ -59,8 +59,8 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     same expression; only the deeper layers are evaluated from the
     interpolated weights.
 
-    A failing evaluation marks its grid point NaN instead of aborting; the
-    caller can check ``has_failures``.
+    A non-finite corner makes the errors it reaches NaN; the caller can check
+    ``has_failures``.
     """
     _check_corners(corners)
     if resolution < 2:
@@ -80,10 +80,7 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
         for j, beta in enumerate(betas):
             params = bilinear_interpolate(corners, alpha, beta)
             layer1 = beta * top + (1.0 - beta) * bottom
-            try:
-                values[i, j] = evaluate(params, arch, dataset, metric, layer1=layer1)
-            except (FloatingPointError, ValueError):
-                values[i, j] = np.nan
+            values[i, j] = evaluate(params, arch, dataset, metric, layer1=layer1)
     return InterpolationGrid(alphas=alphas, betas=betas, values=values)
 
 

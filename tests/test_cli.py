@@ -5,7 +5,10 @@ import pytest
 
 from conftest import write_idx_pair
 from rsgdlab import cli, optim
+from rsgdlab import network as net
 from rsgdlab.cli import build_parser, main
+from rsgdlab.core import RngStream
+from rsgdlab.data import LabeledDataset, save_dataset
 
 
 def run_cli(capsys, *argv):
@@ -264,6 +267,20 @@ class TestEvalAndSurface:
         assert lines[0] == "alpha,beta,error"
         assert len(lines) == 1 + 9
 
+    def test_scan_surface_on_a_non_finite_corner_exits_2(self, trained, capsys):
+        tmp_path, data_dir, out = trained
+        arch, params = net.load_checkpoint(out / "epoch_0001.ckpt")
+        params[1][0, 0] = np.nan
+        net.save_checkpoint(tmp_path / "nan.ckpt", arch, params)
+        ckpts = [str(out / f"epoch_{e:04d}.ckpt") for e in (0, 2, 3)] + [str(tmp_path / "nan.ckpt")]
+        code, stdout, err = run_cli(capsys, "scan-surface",
+                                    "--checkpoints", ",".join(ckpts), "--resolution", "3",
+                                    "--data-test", str(data_dir / "test.bin"))
+        assert code == 2
+        assert len(stdout.strip().splitlines()) == 1 + 9
+        assert err.strip().splitlines()[-1] == (
+            "# warning: some grid points failed to evaluate (NaN markers)")
+
 
 class TestAnalyzeMemory:
     def test_pmf_csv_sums_to_one(self, capsys):
@@ -340,6 +357,46 @@ class TestOptions:
 
 TOY = ["--arch", "4-6-3", "--batch", "10", "--train-count", "50", "--test-count", "50",
        "--epochs", "1"]
+
+
+class TestExitCodes:
+    """Each failure exits 1 (usage) or 2 (runtime) with exactly one error line."""
+
+    @staticmethod
+    def assert_one_error(err):
+        lines = err.strip().splitlines()
+        assert lines[-1].startswith("error:")
+        assert sum(line.startswith("error:") for line in lines) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "{cfg}"],
+        ["train", "--mnist-images", "images"],
+        ["train", "--data-train", "train.bin"],
+        ["eval", "--checkpoint", "{ckpt}"],
+        ["scan-surface", "--checkpoints", "a,b,c", "--data-test", "test.bin"],
+    ])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
+        cfg, ckpt = tmp_path / "c.cfg", tmp_path / "c.ckpt"
+        cfg.write_text("epochs 3\n")
+        arch = net.Architecture([4, 3])
+        net.save_checkpoint(ckpt, arch, net.init_params(arch, RngStream(0, "weight-init")))
+        code, _, err = run_cli(capsys, *(a.format(cfg=cfg, ckpt=ckpt) for a in argv))
+        assert code == 1
+        self.assert_one_error(err)
+
+    def test_diverging_train_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        targets = rng.random((50, 3))
+        targets[0, 0] = np.nan
+        paths = tmp_path / "train.bin", tmp_path / "test.bin"
+        for path in paths:
+            save_dataset(path, LabeledDataset(rng.random((50, 4)), targets))
+        code, _, err = run_cli(capsys, "train", *TOY, "--data-train", str(paths[0]),
+                               "--data-test", str(paths[1]))
+        assert code == 2
+        self.assert_one_error(err)
+        assert "training diverged" in err.strip().splitlines()[-1]
 
 
 class TestConfigParsing:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import rsgdlab
+from conftest import write_idx_pair
 from rsgdlab import network as net
 from rsgdlab.core import RngStream
-from rsgdlab.data import LabeledDataset, one_hot
+from rsgdlab.data import LabeledDataset, one_hot, save_dataset
 from rsgdlab.experiment import (DivergenceError, MetricsRecord, SuiteRow,
                                 TrainConfig, build_datasets, evaluate,
                                 run_suite, train, write_aggregate_csv,
@@ -200,6 +201,34 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="checkpoint epochs"):
             toy_config(epochs=4, checkpoint_epochs=epochs)
 
+    def test_sgdm_without_momentum_is_backprop_bit_for_bit(self):
+        plain = train(toy_config(optimizer="backprop"))
+        still = train(toy_config(optimizer="sgdm", rho=0.0))
+        assert histories_identical(plain.history, still.history)
+        for a, b in zip(plain.params, still.params):
+            assert a.tobytes() == b.tobytes()
+
+    def test_adaptive_sgdm_repeats_exactly(self):
+        cfg = toy_config(optimizer="sgdm", rho="adaptive", schedule=ExpGammaSchedule(0.9, 0.0))
+        a, b = train(cfg), train(cfg)
+        assert histories_identical(a.history, b.history)
+        assert a.history[-1].gamma > 0.0
+        for w1, w2 in zip(a.params, b.params):
+            assert w1.tobytes() == w2.tobytes()
+
+    def test_trains_on_an_idx_pair(self, tmp_path):
+        rng = np.random.default_rng(6)
+        images, labels = write_idx_pair(tmp_path, rng.integers(0, 256, (20, 2, 3)),
+                                        np.arange(20) % 10)
+        cfg = TrainConfig(net.Architecture([6, 5, 10]), batch_size=5, epochs=2,
+                          train_count=10, test_count=6, seed=1, metric="classification_error",
+                          dataset_source=("mnist", images, labels))
+        train_set, test_set = build_datasets(cfg)
+        assert (len(train_set), len(test_set)) == (10, 6)
+        result = train(cfg, datasets=(train_set, test_set))
+        assert len(result.history) == 3
+        assert all(0.0 <= r.test_error <= 1.0 for r in result.history)
+
     def test_nag_oracle_calls_counted(self):
         cfg = toy_config(optimizer="nag", rho=0.5, epochs=3)
         result = train(cfg)
@@ -253,6 +282,19 @@ class TestSuite:
         singles = [train(toy_config(epochs=2, seed=11 + i)).final_test_error
                    for i in range(3)]
         assert rows[0].metric_mean == pytest.approx(np.mean(singles), abs=1e-15)
+
+    def test_diverging_runs_are_counted(self, tmp_path):
+        train_set, test_set = build_datasets(toy_config())
+        train_set.targets[0, 0] = np.nan
+        paths = tmp_path / "train.bin", tmp_path / "test.bin"
+        for path, dataset in zip(paths, (train_set, test_set)):
+            save_dataset(path, dataset)
+        cfg = toy_config(epochs=2, dataset_source=("files", *paths))
+        row, = run_suite({"bad": cfg}, n_runs=2)
+        assert (row.n_runs, row.n_diverged) == (0, 2)
+        assert np.isnan(row.metric_mean) and np.isnan(row.metric_std)
+        write_aggregate_csv(tmp_path / "agg.csv", [row])
+        assert (tmp_path / "agg.csv").read_text().splitlines()[1] == "bad,nan,nan,0,2"
 
     def test_parallel_matches_serial_bit_for_bit(self):
         configs = {"plain": toy_config(epochs=2),

@@ -181,27 +181,66 @@ class TestNag:
     def test_zero_momentum_reduces_to_vanilla(self):
         opt = Nag(template((1, 1)), rho=0.0)
         w = [np.array([[2.0]])]
-        delta = opt.step(w, 0.1, lambda p: [p[0].copy()])  # E(w) = w^2/2, g = w
+        at = opt.lookahead(w)
+        delta = opt.step([at[0].copy()], 0.1)  # E(w) = w^2/2, g = w
         assert delta[0][0, 0] == pytest.approx(-0.2)
 
     def test_scalar_quadratic_two_step_recursion(self):
-        # E(w) = w^2 / 2 so the oracle returns the (shifted) parameter itself
+        # E(w) = w^2 / 2 so the gradient is the look-ahead point itself
         rho, eta, w0 = 0.4, 0.2, 1.5
         opt = Nag(template((1, 1)), rho=rho)
         w = [np.array([[w0]])]
         v = 0.0
         for _ in range(2):
-            delta = opt.step(w, eta, lambda p: [p[0].copy()])
+            at = opt.lookahead(w)
+            delta = opt.step([at[0].copy()], eta)
             v = rho * v - eta * (w[0][0, 0] + rho * v)
             w = [w[0] + delta[0]]
             assert delta[0][0, 0] == pytest.approx(v, rel=1e-12)
 
-    def test_oracle_call_count(self):
-        opt = Nag(template((1, 1)), rho=0.5)
-        w = [np.array([[1.0]])]
-        for _ in range(17):
-            w = [w[0] + opt.step(w, 0.01, lambda p: [p[0].copy()])[0]]
-        assert opt.oracle_calls == 17
+    def test_adaptive_step_uses_the_lookaheads_rho(self):
+        sched = PowerLawSchedule(1.0, 0.5)
+        eta = 0.2
+        opt = Nag(template((1, 1)), rho="adaptive", schedule=sched)
+        w = [np.array([[1.5]])]
+        v = 0.0
+        for t in range(5):
+            rho = sched.gamma(t)
+            at = opt.lookahead(w)
+            delta = opt.step([at[0].copy()], eta)
+            v = rho * v - eta * (w[0][0, 0] + rho * v)
+            w = [w[0] + delta[0]]
+            assert delta[0][0, 0] == pytest.approx(v, rel=1e-12)
+
+
+class TestLookahead:
+    @pytest.mark.parametrize("make", [
+        VanillaSgd,
+        lambda t: Rsgd(t, PowerLawSchedule(1.0, 0.5), RngStream(0, "reinforcement")),
+        lambda t: Sgdm(t, rho=0.9),
+        Adam,
+    ])
+    def test_is_the_parameters_themselves(self, make):
+        params = [np.ones((2, 3)), np.ones((4, 1))]
+        opt = make(template((2, 3), (4, 1)))
+        opt.step([np.ones((2, 3)), np.ones((4, 1))], 0.1)
+        assert opt.lookahead(params, 3) is params
+
+    def test_nag_looks_ahead_by_rho_times_velocity(self):
+        opt = Nag(template((2, 3), (4, 1)), rho="adaptive", schedule=PowerLawSchedule(1.0, 0.5))
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            opt.step([rng.standard_normal((2, 3)), rng.standard_normal((4, 1))], 0.1)
+        params = [rng.standard_normal((2, 3)), rng.standard_normal((4, 1))]
+        rho = PowerLawSchedule(1.0, 0.5).gamma(3)
+        at = opt.lookahead(params)
+        for a, w, v in zip(at, params, opt.accumulated):
+            assert a.tobytes() == (w + rho * v).tobytes()
+        assert opt.t == 3  # looking ahead is not a step
+
+    def test_nag_lookahead_checks_shapes(self):
+        with pytest.raises(ShapeError):
+            Nag(template((2, 3)), rho=0.5).lookahead([np.zeros((3, 2))])
 
 
 class TestAdam:
@@ -219,7 +258,7 @@ class TestAdam:
 
     def test_scalar_trajectory_matches_hand_recursion(self):
         b1, b2, eps, eta = 0.9, 0.999, 1e-8, 0.01
-        opt = Adam(template((1, 1)), beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(template((1, 1)))
         rng = np.random.default_rng(4)
         m = v = 0.0
         for k in range(1, 6):

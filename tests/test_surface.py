@@ -134,6 +134,18 @@ class TestScanSurface:
         with pytest.raises(ValueError):
             scan_surface(corners, 1, arch, ds)
 
+    def test_bad_metric_raises(self, small_setup):
+        arch, corners, ds = small_setup
+        with pytest.raises(ValueError, match="metric"):
+            scan_surface(corners, 2, arch, ds, "accuracy")
+
+    def test_non_finite_corner_sets_has_failures(self, small_setup):
+        arch, corners, ds = small_setup
+        assert not scan_surface(corners, 3, arch, ds, "mse").has_failures
+        broken = [[w.copy() for w in c] for c in corners]
+        broken[2][1][0, 0] = np.nan
+        assert scan_surface(broken, 3, arch, ds, "mse").has_failures
+
     def test_lattice_includes_endpoints(self, small_setup):
         arch, corners, ds = small_setup
         grid = scan_surface(corners, 5, arch, ds)
