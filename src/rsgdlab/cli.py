@@ -101,7 +101,8 @@ OPTIONS = {
     "out": (None, {}),
 }
 
-# The options each subcommand reads (train and suite read them all).
+# The options each subcommand reads (train reads them all; suite writes no checkpoints).
+SUITE_KEYS = tuple(key for key in OPTIONS if key != "checkpoint_epochs")
 EVAL_KEYS = ("metric", "mnist_images", "mnist_labels", "data_train", "data_test")
 SCAN_KEYS = EVAL_KEYS + ("out",)
 MEMORY_KEYS = ("seed", "schedule", "gamma0", "a0", "b0", "out")
@@ -173,9 +174,8 @@ def _build_train_config(opts) -> TrainConfig:
     """The run ``opts`` describe; the step sizes and counts it resolves go back into ``opts``."""
     optimizer = opts["optimizer"]
     uses_schedule = optimizer == "rsgd" or opts["rho"] == "adaptive"
-    output = "softmax" if opts["loss"] == "cross_entropy" else "sigmoid"
     config = TrainConfig(
-        architecture=net.Architecture(list(opts["arch"]), opts["activation"], output, opts["loss"]),
+        architecture=net.Architecture(list(opts["arch"]), opts["activation"], loss=opts["loss"]),
         optimizer=optimizer,
         schedule=_build_schedule(opts) if uses_schedule else None,
         rho=opts["rho"] if optimizer in ("sgdm", "nag") else None,
@@ -183,7 +183,7 @@ def _build_train_config(opts) -> TrainConfig:
         batch_size=opts["batch"], epochs=opts["epochs"],
         train_count=opts["train_count"], test_count=opts["test_count"],
         seed=opts["seed"], dataset_source=_dataset_source(opts),
-        checkpoint_epochs=opts["checkpoint_epochs"], metric=_metric(opts))
+        checkpoint_epochs=opts.get("checkpoint_epochs", ()), metric=_metric(opts))
     opts.update((key, getattr(config, key))
                 for key in ("eta0", "eta_floor", "train_count", "test_count"))
     return config
@@ -201,6 +201,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.checkpoint_epochs and not args.out:
+        raise UsageError("--checkpoint-epochs needs --out, the directory the checkpoints go to")
     opts, config = _prepare(args, _build_train_config)
     result = train(config)
     if opts["out"]:
@@ -252,8 +254,12 @@ def _cmd_scan_surface(args) -> int:
     if len(paths) != 4:
         raise UsageError(f"--checkpoints needs exactly 4 paths, got {len(paths)}")
     loaded = [net.load_checkpoint(p) for p in paths]
+    arch = loaded[0][0]
+    for path, (other, _) in zip(paths, loaded):
+        if other != arch:
+            raise ValueError(f"{path}: {other} differs from {paths[0]}'s {arch}")
     grid = surface_mod.scan_surface([params for _, params in loaded], args.resolution,
-                                    loaded[0][0], _load_eval_dataset(opts), _metric(opts))
+                                    arch, _load_eval_dataset(opts), _metric(opts))
     surface_mod.write_surface_csv(opts["out"] or sys.stdout, grid)
     if grid.has_failures:
         print("# warning: some grid points failed to evaluate (NaN markers)", file=sys.stderr)
@@ -299,7 +305,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("suite", help="multi-seed aggregation across optimizers")
-    _add_options(p, OPTIONS)
+    _add_options(p, SUITE_KEYS)
     p.add_argument("--optimizers", help="comma-separated optimizer list")
     p.add_argument("--runs", type=at_least(1), default=5)
     p.add_argument("--jobs", type=at_least(1), default=1)

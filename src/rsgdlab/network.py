@@ -1,10 +1,10 @@
 """Fully-connected feedforward network: forward pass, losses, backprop.
 
-Weights for layer k have shape (n_k, n_{k-1} + 1) when a bias column is used;
-the last column is the bias, added to the product of the other columns with
-the previous layer's state.  Inputs may be a single vector (n1,) or a batch
-(n1, B) with examples as columns; in the batched case backward() returns the
-mini-batch average gradient.
+Weights for layer k have shape (n_k, n_{k-1} + 1): the last column is the
+bias, added to the product of the other columns with the previous layer's
+state.  Inputs may be a single vector (n1,) or a batch (n1, B) with examples
+as columns; in the batched case backward() returns the mini-batch average
+gradient.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 from .core import Matrix, RngStream, ShapeError, check_end, read_array
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "relu")
-OUTPUT_ACTIVATIONS = ("sigmoid", "softmax")
-LOSSES = ("quadratic", "cross_entropy")
+OUTPUT_OF_LOSS = {"quadratic": "sigmoid", "cross_entropy": "softmax"}
+LOSSES = tuple(OUTPUT_OF_LOSS)
 
 CROSS_ENTROPY_FLOOR = 1e-12  # probability clamp before ln
 
@@ -66,25 +66,23 @@ def _hidden_derivative(s, kind: str):
 
 @dataclass
 class Architecture:
-    """Layer widths plus activation/loss choices."""
+    """Layer widths plus activation/loss choices; every layer has a bias column."""
 
     widths: list[int]
     hidden_activation: str = "sigmoid"
-    output_activation: str = "sigmoid"
+    output_activation: str | None = None  # OUTPUT_OF_LOSS[loss]; None is filled in
     loss: str = "quadratic"
-    use_bias: bool = True
 
     def __post_init__(self):
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ValueError(f"need at least 2 layers with positive widths, got {self.widths}")
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ValueError(f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"output_activation must be one of {OUTPUT_ACTIVATIONS}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
-        if self.loss == "cross_entropy" and self.output_activation != "softmax":
-            raise ValueError("cross_entropy loss requires softmax output")
+        if self.output_activation not in (None, OUTPUT_OF_LOSS[self.loss]):
+            raise ValueError(f"{self.loss} loss requires {OUTPUT_OF_LOSS[self.loss]} output")
+        self.output_activation = OUTPUT_OF_LOSS[self.loss]
 
     @property
     def n_layers(self) -> int:
@@ -99,11 +97,7 @@ class Architecture:
         return self.widths[-1]
 
     def weight_shapes(self) -> list[tuple[int, int]]:
-        extra = 1 if self.use_bias else 0
-        return [
-            (self.widths[k], self.widths[k - 1] + extra)
-            for k in range(1, len(self.widths))
-        ]
+        return [(n, n_prev + 1) for n_prev, n in zip(self.widths, self.widths[1:])]
 
 
 @dataclass
@@ -131,10 +125,8 @@ def check_params(arch: Architecture, params: list[Matrix]) -> None:
         raise ShapeError(f"weight shapes {shapes} do not match architecture {arch.weight_shapes()}")
 
 
-def preactivation(w: Matrix, s: Matrix, use_bias: bool) -> Matrix:
-    """w @ s, plus the bias column w[:, -1] when the layer has one."""
-    if not use_bias:
-        return w @ s
+def preactivation(w: Matrix, s: Matrix) -> Matrix:
+    """w[:, :-1] @ s plus the bias column w[:, -1]."""
     h = w[:, :-1] @ s
     h += w[:, -1] if s.ndim == 1 else w[:, -1:]
     return h
@@ -160,7 +152,7 @@ def forward(params: list[Matrix], arch: Architecture, x: Matrix,
         if k == 0 and layer1 is not None:
             h = layer1
         else:
-            h = preactivation(w, states[-1], arch.use_bias)
+            h = preactivation(w, states[-1])
         kind = arch.output_activation if k == last else arch.hidden_activation
         states.append(activation(h, kind))
     return ForwardTrace(states=states)
@@ -180,19 +172,6 @@ def loss(output: Matrix, target: Matrix, kind: str) -> float:
     raise ValueError(f"unknown loss {kind!r}")
 
 
-def _output_error_signal(arch: Architecture, y: Matrix, target: Matrix) -> Matrix:
-    """dE/dh at the output layer."""
-    if arch.loss == "cross_entropy":
-        # softmax + cross-entropy simplification
-        return y - target
-    neg_eps = y - target  # -(y* - y)
-    if arch.output_activation == "sigmoid":
-        return neg_eps * (y * (1.0 - y))
-    # quadratic loss through softmax: apply the softmax Jacobian
-    a = neg_eps * y
-    return a - y * np.sum(a, axis=0, keepdims=True)
-
-
 def backward(params: list[Matrix], arch: Architecture, trace: ForwardTrace,
              target: Matrix) -> list[Matrix]:
     """Gradients of the loss w.r.t. each weight matrix (no learning rate).
@@ -201,23 +180,24 @@ def backward(params: list[Matrix], arch: Architecture, trace: ForwardTrace,
     over the batch.
     """
     target = np.asarray(target, dtype=np.float64)
-    y = trace.output
-    if target.shape != y.shape:
-        raise ShapeError(f"target shape {target.shape} vs output shape {y.shape}")
+    if target.shape != trace.output.shape:
+        raise ShapeError(f"target shape {target.shape} vs output shape {trace.output.shape}")
     # A single example is a batch of one column: outer products become
     # matrix products with one term each, which round identically.
     columns = [s.reshape(s.shape[0], -1) for s in trace.states]
-    batch = columns[-1].shape[1]
+    y = columns[-1]
+    batch = y.shape[1]
 
-    kappa = _output_error_signal(arch, columns[-1], target.reshape(columns[-1].shape))
+    kappa = y - target.reshape(y.shape)  # dE/dh at the output: softmax + cross-entropy
+    if arch.loss == "quadratic":
+        kappa *= y * (1.0 - y)  # quadratic loss through the sigmoid
     grads: list[Matrix] = [None] * len(params)
     for k in range(len(params) - 1, -1, -1):
         s_prev = columns[k]
         g = np.empty_like(params[k])
         n = arch.widths[k]
         np.matmul(kappa, s_prev.T, out=g[:, :n])
-        if arch.use_bias:
-            g[:, n] = kappa.sum(axis=1)
+        g[:, n] = kappa.sum(axis=1)
         g /= batch
         grads[k] = g
         if k > 0:
@@ -243,8 +223,7 @@ def save_checkpoint(path, arch: Architecture, params: list[Matrix]) -> None:
         f.write(np.array([_VERSION, arch.n_layers, *arch.widths], "<u4"))
         f.write(np.array([_ACT_CODES[arch.hidden_activation],
                           _ACT_CODES[arch.output_activation],
-                          _LOSS_CODES[arch.loss],
-                          int(arch.use_bias)], "u1"))
+                          _LOSS_CODES[arch.loss], 1], "u1"))  # 1: the bias flag
         for w in params:
             f.write(np.ascontiguousarray(w, dtype="<f8"))
 
@@ -254,8 +233,9 @@ def load_checkpoint(path) -> tuple[Architecture, list[Matrix]]:
 
     Each layer's size is checked against the file before its matrix is
     allocated, and the file is read straight into the final C-contiguous
-    ``<f8`` matrices.  ``ValueError`` on a bad magic, version, code or bias
-    flag, a short file or trailing bytes.
+    ``<f8`` matrices.  ``ValueError`` on a bad magic, version or code, an
+    output code that does not match the loss, a bias flag other than 1, a
+    short file or trailing bytes.
     """
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
@@ -269,11 +249,12 @@ def load_checkpoint(path) -> tuple[Architecture, list[Matrix]]:
             names = _ACT_NAMES[h_act], _ACT_NAMES[o_act], _LOSS_NAMES[loss_code]
         except KeyError as exc:
             raise ValueError(f"{path}: unknown activation or loss code {exc.args[0]}") from None
-        if bias_flag not in (0, 1):
-            raise ValueError(f"{path}: bias flag must be 0 or 1, got {bias_flag}")
-        arch = Architecture(widths=widths, hidden_activation=names[0],
-                            output_activation=names[1], loss=names[2],
-                            use_bias=bool(bias_flag))
+        if bias_flag != 1:
+            raise ValueError(f"{path}: bias flag must be 1, got {bias_flag}")
+        try:
+            arch = Architecture(widths, *names)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         params = [read_array(f, shape, "<f8", path) for shape in arch.weight_shapes()]
         check_end(f, path)
         return arch, params

@@ -56,8 +56,7 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
 
     The first layer's pre-activation is bilinear in (alpha, beta) too, so it
     is computed once per corner and interpolated like the weights, by the
-    same expression; only the deeper layers are evaluated from the
-    interpolated weights.
+    same expression; only the deeper layers' weights are interpolated.
 
     A non-finite corner makes the errors it reaches NaN; the caller can check
     ``has_failures``.
@@ -69,7 +68,8 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     if dataset.n_in != arch.n_in:
         raise ShapeError(f"dataset has {dataset.n_in} inputs, architecture expects {arch.n_in}")
     x = dataset.inputs.T
-    h1, h2, h3, h4 = (net.preactivation(c[0], x, arch.use_bias) for c in corners)
+    h1, h2, h3, h4 = (net.preactivation(c[0], x) for c in corners)
+    tails = [c[1:] for c in corners]
     alphas = np.linspace(0.0, 1.0, resolution)
     betas = np.linspace(0.0, 1.0, resolution)
     values = np.empty((resolution, resolution))
@@ -78,7 +78,8 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
         top = alpha * h1 + (1.0 - alpha) * h2
         bottom = alpha * h3 + (1.0 - alpha) * h4
         for j, beta in enumerate(betas):
-            params = bilinear_interpolate(corners, alpha, beta)
+            # forward skips params[0] when layer1 is given, so layer 0 is not interpolated
+            params = [corners[0][0], *bilinear_interpolate(tails, alpha, beta)]
             layer1 = beta * top + (1.0 - beta) * bottom
             values[i, j] = evaluate(params, arch, dataset, metric, layer1=layer1)
     return InterpolationGrid(alphas=alphas, betas=betas, values=values)

@@ -66,6 +66,17 @@ class TestTrain:
         assert lines[0] == "epoch,train_error,test_error,eta,gamma,wall_time_s"
         assert len(lines) == 1 + 4  # epoch 0 plus 3 epochs
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_checkpoint_epochs_without_out_is_a_usage_error(self, tmp_path, capsys, source):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("checkpoint-epochs = 0,1\n")
+        argv = ["--checkpoint-epochs", "0,1"] if source == "flag" else ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "train", *TOY, *argv)
+        assert code == 1
+        assert err.strip().splitlines() == ["error: --checkpoint-epochs needs --out, "
+                                            "the directory the checkpoints go to"]
+        assert out == ""
+
     def test_metrics_to_stdout_without_out(self, capsys):
         code, out, _ = run_cli(capsys, "train", "--arch", "4-6-3",
                                "--optimizer", "backprop", "--eta0", "0.5",
@@ -108,6 +119,19 @@ class TestSuite:
         lines = out.strip().splitlines()
         assert lines[0] == "config_id,metric_mean,metric_std,n_runs,n_diverged"
         assert len(lines) == 3
+
+    def test_checkpoint_epochs_flag_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "suite", *TOY, "--runs", "1", "--checkpoint-epochs", "0")
+        assert code == 1
+        assert err.strip().splitlines()[-1].startswith("error: unrecognized arguments")
+
+    def test_checkpoint_epochs_config_key_dropped(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("checkpoint_epochs = 0,1\n")
+        code, out, err = run_cli(capsys, "suite", *TOY, "--runs", "1", "--config", str(cfg))
+        assert code == 0
+        assert "checkpoint_epochs" not in err
+        assert len(out.strip().splitlines()) == 2
 
 
 class TestFileCounts:
@@ -280,6 +304,25 @@ class TestEvalAndSurface:
         assert len(stdout.strip().splitlines()) == 1 + 9
         assert err.strip().splitlines()[-1] == (
             "# warning: some grid points failed to evaluate (NaN markers)")
+
+    @pytest.mark.parametrize("field, value", [("hidden_activation", "relu"),
+                                              ("loss", "cross_entropy")])
+    def test_scan_surface_rejects_a_different_architecture(self, trained, capsys, field, value):
+        tmp_path, data_dir, out = trained
+        arch, params = net.load_checkpoint(out / "epoch_0003.ckpt")
+        kept = {"hidden_activation": arch.hidden_activation, "loss": arch.loss}
+        other = net.Architecture(arch.widths, **{**kept, field: value})
+        other_path = tmp_path / "other.ckpt"
+        net.save_checkpoint(other_path, other, params)
+        ckpts = [str(out / f"epoch_{e:04d}.ckpt") for e in (0, 1, 2)] + [str(other_path)]
+        code, stdout, err = run_cli(capsys, "scan-surface",
+                                    "--checkpoints", ",".join(ckpts), "--resolution", "3",
+                                    "--data-test", str(data_dir / "test.bin"))
+        assert code == 2
+        assert stdout == ""
+        TestExitCodes.assert_one_error(err)
+        assert err.strip().splitlines()[-1].startswith(
+            f"error: {other_path}: {other} differs from ")
 
 
 class TestAnalyzeMemory:
@@ -504,7 +547,7 @@ class TestStepSizes:
 
 
 @pytest.mark.parametrize("command, n_flags", [
-    ("gen-data", 5), ("train", 26), ("suite", 29), ("eval", 7), ("scan-surface", 9),
+    ("gen-data", 5), ("train", 26), ("suite", 28), ("eval", 7), ("scan-surface", 9),
     ("analyze-memory", 9),
 ])
 def test_flag_count(command, n_flags):

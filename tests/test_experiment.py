@@ -38,15 +38,15 @@ def toy_config(**overrides):
 
 class TestEvaluate:
     def test_perfect_predictions(self):
-        arch = net.Architecture([2, 2], use_bias=False)
-        params = [np.zeros((2, 2))]
+        arch = net.Architecture([2, 2])
+        params = [np.zeros((2, 3))]
         targets = np.full((5, 2), 0.5)  # sigmoid(0) everywhere
         ds = LabeledDataset(inputs=np.random.default_rng(0).random((5, 2)),
                             targets=targets)
         assert evaluate(params, arch, ds, "mse") == 0.0
 
     def test_constant_classifier_on_balanced_data(self):
-        arch = net.Architecture([3, 10], use_bias=True)
+        arch = net.Architecture([3, 10])
         params = [np.zeros((10, 4))]
         params[0][4, 3] = 5.0  # bias pushes class 4 always
         labels = np.repeat(np.arange(10), 10)
@@ -56,8 +56,8 @@ class TestEvaluate:
         assert evaluate(params, arch, ds, "classification_error") == pytest.approx(0.9)
 
     def test_hand_counted_misclassifications(self):
-        arch = net.Architecture([2, 3], use_bias=False)
-        params = [np.eye(3, 2)]
+        arch = net.Architecture([2, 3])
+        params = [np.column_stack([np.eye(3, 2), np.zeros(3)])]  # zero bias column
         inputs = np.array([[3.0, 0.0], [0.0, 3.0], [3.0, 0.0], [0.0, 3.0]])
         labels = np.array([0, 1, 2, 0])  # predictions: 0, 1, 0, 1 -> 2 wrong
         ds = LabeledDataset(inputs=inputs, targets=one_hot(labels, 3),

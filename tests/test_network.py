@@ -92,11 +92,20 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             net.Architecture([2, 2], output_activation="sigmoid", loss="cross_entropy")
 
+    def test_quadratic_requires_sigmoid(self):
+        with pytest.raises(ValueError, match="quadratic loss requires sigmoid output"):
+            net.Architecture([2, 2], output_activation="softmax", loss="quadratic")
+
+    @pytest.mark.parametrize("loss_kind, out", [("quadratic", "sigmoid"),
+                                                ("cross_entropy", "softmax")])
+    def test_output_activation_follows_the_loss(self, loss_kind, out):
+        assert net.Architecture([2, 2], loss=loss_kind).output_activation == out
+        assert net.Architecture([2, 2], output_activation=out, loss=loss_kind) \
+            == net.Architecture([2, 2], loss=loss_kind)
+
     def test_weight_shapes_with_bias(self):
         arch = net.Architecture([3, 5, 2])
         assert arch.weight_shapes() == [(5, 4), (2, 6)]
-        arch = net.Architecture([3, 5, 2], use_bias=False)
-        assert arch.weight_shapes() == [(5, 3), (2, 5)]
 
 
 class TestForward:
@@ -114,8 +123,8 @@ class TestForward:
         assert np.all(trace.states[1] == 0.0)
 
     def test_scalar_chain_hand_computed(self):
-        arch = net.Architecture([1, 1, 1], use_bias=False)
-        params = [np.ones((1, 1)), np.ones((1, 1))]
+        arch = net.Architecture([1, 1, 1])
+        params = [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])]  # zero bias columns
         y = net.forward(params, arch, np.zeros(1)).output[0]
         assert y == pytest.approx(0.6224593312018546, abs=1e-12)
 
@@ -142,12 +151,11 @@ class TestForward:
             single = net.forward(params, arch, xs[:, c]).output
             assert np.allclose(batched[:, c], single, atol=1e-14)
 
-    @pytest.mark.parametrize("use_bias", [True, False])
-    def test_given_layer1_preactivation_replaces_first_product(self, use_bias):
-        arch = net.Architecture([3, 4, 2], use_bias=use_bias)
+    def test_given_layer1_preactivation_replaces_first_product(self):
+        arch = net.Architecture([3, 4, 2])
         params, _, _ = random_case(arch, 7)
         xs = np.random.default_rng(8).standard_normal((3, 6))
-        h1 = net.preactivation(params[0], xs, use_bias)
+        h1 = net.preactivation(params[0], xs)
         given = net.forward(params, arch, xs, h1)
         plain = net.forward(params, arch, xs)
         assert all(np.array_equal(p, q) for p, q in zip(given.states, plain.states))
@@ -175,8 +183,6 @@ class TestLoss:
 ALL_COMBOS = [
     ("sigmoid", "sigmoid", "quadratic"),
     ("relu", "sigmoid", "quadratic"),
-    ("sigmoid", "softmax", "quadratic"),
-    ("relu", "softmax", "quadratic"),
     ("sigmoid", "softmax", "cross_entropy"),
     ("relu", "softmax", "cross_entropy"),
 ]
@@ -203,10 +209,10 @@ class TestBackward:
             assert gradient_mismatch(grads, fd) < 1e-5
 
     def test_scalar_net_symbolic_gradient(self):
-        # 1-1-1 sigmoid net, no bias: closed-form chain rule
-        arch = net.Architecture([1, 1, 1], use_bias=False)
+        # 1-1-1 sigmoid net, zero bias: closed-form chain rule
+        arch = net.Architecture([1, 1, 1])
         w1, w2, v, t = 0.7, -1.3, 0.4, 0.9
-        params = [np.array([[w1]]), np.array([[w2]])]
+        params = [np.array([[w1, 0.0]]), np.array([[w2, 0.0]])]
         trace = net.forward(params, arch, np.array([v]))
         s1 = 1 / (1 + np.exp(-w1 * v))
         y = 1 / (1 + np.exp(-w2 * s1))
@@ -295,7 +301,23 @@ class TestCheckpoint:
         data[27] = 2  # bias flag of a 3-layer checkpoint
         path = tmp_path / "bad.ckpt"
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="bias flag must be 0 or 1, got 2"):
+        with pytest.raises(ValueError, match="bias flag must be 1, got 2"):
+            net.load_checkpoint(path)
+
+    def test_bias_flag_0_rejected(self, tmp_path):
+        data = bytearray(self._saved(tmp_path))
+        data[27] = 0  # a checkpoint of a net without biases
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="bias flag must be 1, got 0"):
+            net.load_checkpoint(path)
+
+    def test_quadratic_loss_with_softmax_output_rejected(self, tmp_path):
+        data = bytearray(self._saved(tmp_path))
+        data[25] = 2  # softmax output code; the loss code stays quadratic
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="bad.ckpt: quadratic loss requires sigmoid output"):
             net.load_checkpoint(path)
 
     def test_header_larger_than_file(self, tmp_path):

@@ -315,6 +315,21 @@ class TestMemoryLengthPmf:
             0.05641895835477563, rel=1e-15)
         assert expected_tv(np.array([1.0, 0.0]), 50) == 0.0
 
+    def test_simulation_within_sampling_noise_for_every_seed(self):
+        # Criterion 4's size: pure multinomial noise gives E[TV] = 0.0099 and
+        # sd = 0.0009, so a fixed 0.01 bound fails for about a third of seeds.
+        # Each |p_hat - p| is half-normal with variance (1 - 2/pi) p(1-p)/n;
+        # 6 sd above the mean keeps a chance failure far below 1e-6 per seed.
+        sched, t, n = PowerLawSchedule(1.0, 0.5), 300, 100_000
+        pmf = memory_length_pmf(sched, t)
+        wrong = memory_length_pmf(PowerLawSchedule(1.0, 0.55), t)  # b0 off by 10%
+        sd = 0.5 * np.sqrt((1.0 - 2.0 / np.pi) * float((pmf * (1.0 - pmf)).sum()) / n)
+        bound = expected_tv(pmf, n) + 6.0 * sd
+        for seed in range(20):
+            emp = simulate_memory_length(sched, t, n, RngStream(seed, "reinforcement"))
+            assert 0.5 * np.abs(emp - pmf).sum() <= bound, seed
+            assert 0.5 * np.abs(emp - wrong).sum() > bound, seed
+
 
 def trailing_run_histogram(coins):
     """Reference: lengths of each row's trailing run of True, as a normalized histogram."""

@@ -80,9 +80,9 @@ class TestScanSurface:
         assert np.allclose(grid.values, grid.values[0, 0], atol=1e-12)
 
     def test_single_parameter_net_matches_scalar_closed_form(self):
-        # 1-1 sigmoid net without bias: error has a hand-computable scalar form
-        arch = net.Architecture([1, 1], use_bias=False)
-        corners = [[np.array([[w]])] for w in (2.0, -1.0, 0.5, 3.0)]
+        # 1-1 sigmoid net with a zero bias: error has a hand-computable scalar form
+        arch = net.Architecture([1, 1])
+        corners = [[np.array([[w, 0.0]])] for w in (2.0, -1.0, 0.5, 3.0)]
         v, target = 0.8, 0.3
         ds = LabeledDataset(inputs=np.array([[v]]), targets=np.array([[target]]))
         grid = scan_surface(corners, 5, arch, ds, "mse")
@@ -93,10 +93,9 @@ class TestScanSurface:
                 y = 1.0 / (1.0 + np.exp(-w * v))
                 assert grid.values[i, j] == pytest.approx(0.5 * (target - y) ** 2, rel=1e-12)
 
-    @pytest.mark.parametrize("use_bias", [True, False])
-    def test_points_match_evaluate_of_interpolated_weights(self, use_bias):
+    def test_points_match_evaluate_of_interpolated_weights(self):
         # 2500 examples: evaluate's forward passes run in two chunks
-        arch = net.Architecture([3, 4, 2], use_bias=use_bias)
+        arch = net.Architecture([3, 4, 2])
         corners = random_corners(arch, seed=3)
         rng = np.random.default_rng(9)
         ds = LabeledDataset(inputs=rng.standard_normal((2500, 3)),
@@ -108,14 +107,13 @@ class TestScanSurface:
                 direct = evaluate(params, arch, ds, "mse")
                 assert grid.values[i, j] == pytest.approx(direct, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("use_bias", [True, False])
-    def test_points_equal_evaluate_of_interpolated_layer1(self, use_bias):
-        arch = net.Architecture([5, 6, 4, 3], use_bias=use_bias)
+    def test_points_equal_evaluate_of_interpolated_layer1(self):
+        arch = net.Architecture([5, 6, 4, 3])
         corners = random_corners(arch, seed=7)
         rng = np.random.default_rng(2)
         ds = LabeledDataset(inputs=rng.standard_normal((2500, 5)),
                             targets=rng.random((2500, 3)))
-        products = [[net.preactivation(c[0], ds.inputs.T, use_bias)] for c in corners]
+        products = [[net.preactivation(c[0], ds.inputs.T)] for c in corners]
         grid = scan_surface(corners, 7, arch, ds, "mse")
         for i, alpha in enumerate(grid.alphas):
             for j, beta in enumerate(grid.betas):
