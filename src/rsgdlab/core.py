@@ -55,6 +55,14 @@ def check_end(f, path) -> None:
         raise ValueError(f"{path}: {left} unexpected bytes after the payload")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _stream_key(stream_id: str) -> int:
     # crc32 is stable across platforms and Python versions (unlike hash()).
     return zlib.crc32(stream_id.encode("utf-8"))

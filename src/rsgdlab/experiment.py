@@ -85,6 +85,8 @@ class TrainConfig:
                 raise ValueError(f"{self.optimizer} needs rho (a value or 'adaptive')")
             if self.rho == "adaptive" and self.schedule is None:
                 raise ValueError("adaptive momentum needs a schedule")
+        if self.rho not in (None, "adaptive") and not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho must be 'adaptive' or lie in [0, 1], got {self.rho}")
         if self.dataset_source[0] == "teacher" and self.train_count != self.test_count:
             raise ValueError("teacher datasets are split in half: train_count must equal test_count")
 
@@ -199,33 +201,35 @@ def train(config: TrainConfig,
         test_error=evaluate(params, arch, test_set, config.metric),
         eta=eta, gamma=gamma_now(0, 0), wall_time_s=0.0)]
 
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        t_ep = epoch - 1  # completed epochs while this one runs
-        for idx in plan.epoch_batches():
-            x, y_true = train_set.inputs[idx].T, train_set.targets[idx].T
-            at = optimizer.lookahead(params, t_ep)
-            # the trace and the deltas stay unnamed, so neither outlives its statement
-            grads = net.backward(at, arch, net.forward(at, arch, x), y_true)
-            params = [w + d for w, d in zip(params, optimizer.step(grads, eta, t_ep=t_ep))]
+    # a non-finite loss or weight raises DivergenceError below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            t_ep = epoch - 1  # completed epochs while this one runs
+            for idx in plan.epoch_batches():
+                x, y_true = train_set.inputs[idx].T, train_set.targets[idx].T
+                at = optimizer.lookahead(params, t_ep)
+                # the trace and the deltas stay unnamed, so neither outlives its statement
+                grads = net.backward(at, arch, net.forward(at, arch, x), y_true)
+                params = [w + d for w, d in zip(params, optimizer.step(grads, eta, t_ep=t_ep))]
 
-        gamma_logged = gamma_now(optimizer.t, t_ep)
-        # epoch-boundary refresh: eta compounds by beta^epoch, floored
-        eta = max(eta * config.beta ** epoch, config.eta_floor)
+            gamma_logged = gamma_now(optimizer.t, t_ep)
+            # epoch-boundary refresh: eta compounds by beta^epoch, floored
+            eta = max(eta * config.beta ** epoch, config.eta_floor)
 
-        train_error = evaluate(params, arch, train_set, config.metric)
-        test_error = evaluate(params, arch, test_set, config.metric)
-        record = MetricsRecord(epoch=epoch, train_error=train_error,
-                               test_error=test_error, eta=eta,
-                               gamma=gamma_logged,
-                               wall_time_s=time.perf_counter() - started)
-        history.append(record)
-        if not (np.isfinite(train_error) and np.isfinite(test_error)
-                and all(np.isfinite(w).all() for w in params)):
-            raise DivergenceError(
-                f"non-finite loss or weights at epoch {epoch}", history)
-        if epoch in config.checkpoint_epochs:
-            checkpoints[epoch] = [w.copy() for w in params]
+            train_error = evaluate(params, arch, train_set, config.metric)
+            test_error = evaluate(params, arch, test_set, config.metric)
+            record = MetricsRecord(epoch=epoch, train_error=train_error,
+                                   test_error=test_error, eta=eta,
+                                   gamma=gamma_logged,
+                                   wall_time_s=time.perf_counter() - started)
+            history.append(record)
+            if not (np.isfinite(train_error) and np.isfinite(test_error)
+                    and all(np.isfinite(w).all() for w in params)):
+                raise DivergenceError(
+                    f"non-finite loss or weights at epoch {epoch}", history)
+            if epoch in config.checkpoint_epochs:
+                checkpoints[epoch] = [w.copy() for w in params]
 
     return TrainResult(config=config, history=history, params=params,
                        checkpoints=checkpoints,

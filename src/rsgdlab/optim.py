@@ -18,14 +18,14 @@ optimizers never perturbs initialization or data order.
 
 from __future__ import annotations
 
-import os
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .core import Matrix, RngStream, ShapeError
+from .core import Matrix, RngStream, ShapeError, usable_cpus
 
 
 # --- reinforcement probability schedules ---------------------------------
@@ -40,8 +40,8 @@ class ExpGammaSchedule:
     def __post_init__(self):
         if not 0.0 < self.gamma0 <= 1.0:
             raise ValueError(f"gamma0 must lie in (0, 1], got {self.gamma0}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam (lambda) must be finite and >= 0, got {self.lam}")
 
     def gamma(self, t: int, t_ep: int = 0) -> float:
         base = self.gamma0 * np.exp(-self.lam * t_ep)
@@ -56,8 +56,9 @@ class PowerLawSchedule:
     b0: float
 
     def __post_init__(self):
-        if self.a0 <= 0.0 or self.b0 <= 0.0:
-            raise ValueError(f"a0 and b0 must be > 0, got a0={self.a0}, b0={self.b0}")
+        for name, value in (("a0", self.a0), ("b0", self.b0)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def gamma(self, t: int, t_ep: int = 0) -> float:
         return float(min(max(1.0 - self.a0 / (t + 1.0) ** self.b0, 0.0), 1.0))
@@ -211,14 +212,6 @@ def expected_tv(pmf: np.ndarray, n: int) -> float:
 SIM_BLOCK = 2 ** 17  # coins in flight across all parts of simulate_memory_length
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _trailing_run_counts(gen: np.random.Generator, probs: np.ndarray, runs: int,
                          rows: int) -> np.ndarray:
     """int64 histogram of the trailing accumulation run of ``runs`` runs, ``rows`` at a time."""
@@ -257,7 +250,7 @@ def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
         return np.ones(1)  # no coins: every run has length 0
     probs = np.array([schedule.gamma(l) for l in range(1, t + 1)])
     # no more parts than runs of t coins fit in SIM_BLOCK, so memory stays O(SIM_BLOCK + t)
-    cpus = min(_usable_cpus(), max(1, SIM_BLOCK // t))
+    cpus = min(usable_cpus(), max(1, SIM_BLOCK // t))
     rows = max(1, SIM_BLOCK // (cpus * t))
     blocks = -(-n_runs // rows)
     n_parts = min(cpus, blocks)

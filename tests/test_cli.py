@@ -441,6 +441,41 @@ class TestExitCodes:
         self.assert_one_error(err)
         assert "training diverged" in err.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize("argv, name", [
+        (["analyze-memory", "--schedule", "power_law", "--b0", "nan", "--t", "5"], "b0"),
+        (["analyze-memory", "--schedule", "power_law", "--a0", "nan", "--t", "5"], "a0"),
+        (["analyze-memory", "--schedule", "power_law", "--b0", "inf", "--t", "5"], "b0"),
+        (["analyze-memory", "--gamma0", "nan", "--t", "5"], "gamma0"),
+        (["train", *TOY, "--optimizer", "rsgd", "--lambda", "nan"], "lambda"),
+        (["train", *TOY, "--optimizer", "rsgd", "--lambda", "inf"], "lambda"),
+        (["train", *TOY, "--optimizer", "rsgd", "--schedule", "power_law", "--a0", "inf"],
+         "a0"),
+        (["train", *TOY, "--optimizer", "sgdm", "--rho", "5"], "rho"),
+        (["train", *TOY, "--optimizer", "sgdm", "--rho", "-3"], "rho"),
+        (["train", *TOY, "--optimizer", "nag", "--rho", "nan"], "rho"),
+    ])
+    def test_out_of_range_float_exits_1_naming_it(self, capsys, argv, name):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        self.assert_one_error(err)
+        assert name in err.strip().splitlines()[-1]
+
+    def test_infinite_step_size_prints_only_its_error(self, capsys):
+        code, _, err = run_cli(capsys, "train", *TOY, "--eta0", "inf")
+        assert code == 2
+        self.assert_one_error(err)
+        assert "training diverged" in err.strip().splitlines()[-1]
+        assert "Warning" not in err
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        def allocate(*_):
+            raise MemoryError("Unable to allocate 6.71 TiB for an array")
+        monkeypatch.setattr(cli, "train", allocate)
+        code, _, err = run_cli(capsys, "train", *TOY)
+        assert code == 2
+        self.assert_one_error(err)
+        assert "out of memory" in err.strip().splitlines()[-1]
+
 
 class TestConfigParsing:
     """A --config value passes the same checks as the flag of the same name."""

@@ -252,6 +252,22 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             toy_config(optimizer="nonsense")
 
+    @pytest.mark.parametrize("optimizer", ["sgdm", "nag"])
+    @pytest.mark.parametrize("rho", [5.0, -3.0, -0.1, 1.0001, np.nan, np.inf, -np.inf])
+    def test_rho_outside_unit_interval_rejected(self, optimizer, rho):
+        with pytest.raises(ValueError, match="rho"):
+            toy_config(optimizer=optimizer, rho=rho)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 1.0, "adaptive"])
+    def test_rho_in_unit_interval_or_adaptive_accepted(self, rho):
+        cfg = toy_config(optimizer="sgdm", rho=rho, schedule=PowerLawSchedule(1.0, 0.5))
+        assert cfg.rho == rho
+
+    def test_infinite_step_size_raises_divergence_not_a_warning(self):
+        # numpy's overflow and invalid warnings are errors under this suite's filterwarnings
+        with pytest.raises(DivergenceError, match="epoch 1"):
+            train(toy_config(eta0=np.inf, epochs=2))
+
     @pytest.mark.parametrize("optimizer, given, eta0, eta_floor", [
         ("adam", {}, 0.01, 0.001),
         ("adam", {"eta0": 0.8}, 0.8, 0.001),

@@ -65,6 +65,17 @@ class TestSchedules:
         with pytest.raises(ValueError):
             PowerLawSchedule(0.0, 0.5)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: ExpGammaSchedule(v, 0.0), "gamma0"),
+        (lambda v: ExpGammaSchedule(0.9995, v), "lam"),
+        (lambda v: PowerLawSchedule(v, 0.5), "a0"),
+        (lambda v: PowerLawSchedule(1.0, v), "b0"),
+    ], ids=["gamma0", "lam", "a0", "b0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hyperparameter_rejected(self, make, name, value):
+        with pytest.raises(ValueError, match=name):
+            make(value)
+
 
 class TestRsgd:
     def test_zero_probability_is_vanilla(self):
@@ -349,7 +360,7 @@ class TestSimulateMemoryLength:
     def test_blocks_equal_one_draw(self, monkeypatch, t, runs_per_block):
         # 11 runs: the last block is partial for 2 and 3 runs per block
         monkeypatch.setattr(optim, "SIM_BLOCK",
-                            runs_per_block * max(t, 1) * optim._usable_cpus())
+                            runs_per_block * max(t, 1) * optim.usable_cpus())
         sched = PowerLawSchedule(1.0, 0.5)
         probs = np.array([sched.gamma(l) for l in range(1, t + 1)])
         expected = trailing_run_histogram(RngStream(8, "reinforcement").uniform((11, t)) < probs)
@@ -404,7 +415,7 @@ class TestSimulationParts:
         ref = RngStream(4, "reinforcement")
         expected = sequential_histogram(sched, t, n_runs, ref)
         for parts in (1, 2, 3, 7):
-            monkeypatch.setattr(optim, "_usable_cpus", lambda: parts)
+            monkeypatch.setattr(optim, "usable_cpus", lambda: parts)
             rng = RngStream(4, "reinforcement")
             got = simulate_memory_length(sched, t, n_runs, rng)
             assert got.tobytes() == expected.tobytes(), parts
@@ -412,7 +423,7 @@ class TestSimulationParts:
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 7])
     def test_buffered_32_bit_half_survives(self, monkeypatch, parts):
-        monkeypatch.setattr(optim, "_usable_cpus", lambda: parts)
+        monkeypatch.setattr(optim, "usable_cpus", lambda: parts)
         rng, ref = RngStream(9, "reinforcement"), RngStream(9, "reinforcement")
         for stream in (rng, ref):
             stream._gen.integers(0, 1000, size=1, dtype=np.uint32)
@@ -425,7 +436,7 @@ class TestSimulationParts:
 
     def test_parts_are_whole_blocks(self, monkeypatch):
         # 3 CPUs, 2 runs per block: 11 runs make 6 blocks, cut 2 + 2 + 2 blocks
-        monkeypatch.setattr(optim, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(optim, "usable_cpus", lambda: 3)
         monkeypatch.setattr(optim, "SIM_BLOCK", 3 * 2 * 5)
         seen = []
         split = RngStream.split

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rsgdlab import network as net
+from rsgdlab import surface
 from rsgdlab.core import RngStream, ShapeError
 from rsgdlab.data import LabeledDataset
 from rsgdlab.experiment import evaluate
@@ -149,6 +150,101 @@ class TestScanSurface:
         grid = scan_surface(corners, 5, arch, ds)
         assert grid.alphas[0] == 0.0 and grid.alphas[-1] == 1.0
         assert grid.betas[0] == 0.0 and grid.betas[-1] == 1.0
+
+
+class TestScanWorkers:
+    """Rows are scored on as many threads as BLAS's own threads leave CPUs free."""
+
+    @pytest.mark.parametrize("env, cpus, workers", [
+        ("OPENBLAS_NUM_THREADS=1", 2, 2),
+        ("OPENBLAS_NUM_THREADS=2", 2, 1),
+        ("OPENBLAS_NUM_THREADS=2", 4, 2),
+        ("OPENBLAS_NUM_THREADS=4", 2, 1),
+        ("", 2, 1),
+        ("OPENBLAS_NUM_THREADS=0", 2, 1),
+        ("OPENBLAS_NUM_THREADS=abc", 2, 1),
+        ("OPENBLAS_NUM_THREADS=", 2, 1),
+        ("OPENBLAS_NUM_THREADS=-1", 2, 1),
+        ("MKL_NUM_THREADS=1", 2, 2),
+        ("OMP_NUM_THREADS=1", 3, 3),
+        ("MKL_NUM_THREADS=2 OMP_NUM_THREADS=1", 2, 1),
+        ("OPENBLAS_NUM_THREADS=abc OMP_NUM_THREADS=1", 2, 1),
+    ])
+    def test_worker_count(self, monkeypatch, env, cpus, workers):
+        for var in surface.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for setting in env.split():
+            monkeypatch.setenv(*setting.split("="))
+        monkeypatch.setattr(surface, "usable_cpus", lambda: cpus)
+        assert surface._scan_workers() == workers
+
+
+class TestParallelScan:
+    @pytest.mark.parametrize("widths, activation, loss, metric", [
+        ([5, 20, 4, 3], "sigmoid", "quadratic", "mse"),
+        ([5, 40, 7, 3], "relu", "cross_entropy", "classification_error"),
+        ([6, 3], "sigmoid", "quadratic", "mse"),
+        ([6, 3], "relu", "cross_entropy", "mse"),
+    ], ids=["4-layer-quadratic", "4-layer-cross-entropy", "2-layer-quadratic",
+            "2-layer-cross-entropy"])
+    @pytest.mark.parametrize("resolution", [2, 5, 7])  # 7: alphas that are not dyadic
+    def test_grid_identical_for_every_worker_count(self, monkeypatch, widths, activation,
+                                                   loss, metric, resolution):
+        arch = net.Architecture(widths, activation, loss=loss)
+        corners = random_corners(arch, seed=4)
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, widths[-1], 2500)  # 2500: evaluate runs two chunks
+        ds = LabeledDataset(inputs=rng.standard_normal((2500, widths[0])),
+                            targets=np.eye(widths[-1])[labels])
+        pools = []
+
+        class Pool(surface.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        # each point's layer-1 pre-activation and weights, bytewise: a one-ulp
+        # difference there need not reach the error a point reports
+        inputs = []
+
+        def recording_evaluate(params, arch, dataset, metric, layer1):
+            inputs.append(b"".join(a.tobytes() for a in (layer1, *params)))
+            return evaluate(params, arch, dataset, metric, layer1=layer1)
+
+        monkeypatch.setattr(surface, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(surface, "evaluate", recording_evaluate)
+        grids, seen = {}, {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(surface, "_scan_workers", lambda: workers)
+            inputs.clear()
+            grids[workers] = scan_surface(corners, resolution, arch, ds, metric).values
+            seen[workers] = sorted(inputs)  # threads score rows in any order
+        assert pools == [2, min(3, resolution)]  # one worker runs no pool
+        assert np.array_equal(grids[2], grids[1]) and np.array_equal(grids[3], grids[1])
+        assert seen[2] == seen[1] and seen[3] == seen[1]
+        assert len(seen[1]) == resolution ** 2 and np.isfinite(grids[1]).all()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_callers_numpy_error_handling_holds_on_every_thread(self, monkeypatch,
+                                                                small_setup, workers):
+        # inf in one corner's first layer: inf - inf and 0 * inf in the interpolation
+        arch, corners, ds = small_setup
+        broken = [[w.copy() for w in c] for c in corners]
+        broken[0][0][0, 0] = np.inf
+        broken[1][0][0, 0] = -np.inf
+        monkeypatch.setattr(surface, "_scan_workers", lambda: workers)
+        with np.errstate(invalid="ignore", over="ignore"):
+            grid = scan_surface(broken, 3, arch, ds, "mse")
+        assert grid.has_failures
+        with pytest.raises(FloatingPointError):
+            with np.errstate(invalid="raise"):
+                scan_surface(broken, 3, arch, ds, "mse")
+
+    def test_error_in_a_row_is_raised(self, monkeypatch, small_setup):
+        arch, corners, ds = small_setup
+        monkeypatch.setattr(surface, "_scan_workers", lambda: 2)
+        with pytest.raises(ValueError, match="metric"):
+            scan_surface(corners, 3, arch, ds, "accuracy")
 
 
 class TestSurfaceCsv:
