@@ -119,7 +119,8 @@ def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
     """Mean error over a dataset; forward passes chunked to bound memory.
 
     ``layer1``, when given, is the first layer's pre-activation for the whole
-    dataset (examples as columns); each chunk's forward pass uses its slice.
+    dataset (examples as columns); each chunk's forward pass uses its slice,
+    and overwrites it with the first layer's state (see ``network.forward``).
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")

@@ -22,17 +22,17 @@ LOSSES = tuple(OUTPUT_OF_LOSS)
 CROSS_ENTROPY_FLOOR = 1e-12  # probability clamp before ln
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     # 0.5 * (1 + tanh(x/2)) cannot overflow for any |x|; computed in one buffer.
-    out = np.multiply(x, 0.5, out=np.empty_like(x, dtype=np.float64))
+    out = np.multiply(x, 0.5, out=np.empty_like(x, dtype=np.float64) if out is None else out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_derivative(x):
@@ -40,20 +40,21 @@ def relu_derivative(x):
     return (x > 0).astype(np.float64)
 
 
-def softmax(x):
+def softmax(x, out=None):
     """Column-wise softmax (vector or matrix of column vectors)."""
-    shifted = x - np.max(x, axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=0, keepdims=True)
+    shifted = np.subtract(x, np.max(x, axis=0, keepdims=True), out=out)
+    e = np.exp(shifted, out=out)
+    return np.divide(e, np.sum(e, axis=0, keepdims=True), out=out)
 
 
-def activation(x, kind: str):
+def activation(x, kind: str, out=None):
+    """The activation of x, written into ``out`` (which may be x itself) if given."""
     if kind == "sigmoid":
-        return sigmoid(x)
+        return sigmoid(x, out)
     if kind == "relu":
-        return relu(x)
+        return relu(x, out)
     if kind == "softmax":
-        return softmax(x)
+        return softmax(x, out)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -137,7 +138,10 @@ def forward(params: list[Matrix], arch: Architecture, x: Matrix,
     """States of every layer for input x.
 
     ``layer1``, when given, is the first layer's pre-activation for x,
-    already computed by the caller; params[0] is then not applied.
+    already computed by the caller; params[0] is then not applied, and each
+    activation overwrites its pre-activation, layer1 included, so that the
+    pass holds one buffer per layer.  Without layer1, each activation gets a
+    buffer of its own.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != arch.n_in:
@@ -154,7 +158,7 @@ def forward(params: list[Matrix], arch: Architecture, x: Matrix,
         else:
             h = preactivation(w, states[-1])
         kind = arch.output_activation if k == last else arch.hidden_activation
-        states.append(activation(h, kind))
+        states.append(activation(h, kind, out=None if layer1 is None else h))
     return ForwardTrace(states=states)
 
 

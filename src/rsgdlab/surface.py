@@ -13,6 +13,7 @@ import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,20 +53,21 @@ def bilinear_interpolate(corners, alpha: float, beta: float) -> list[np.ndarray]
     ]
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-LAYER1_BLOCK = 16  # hidden units per step when a parallel scan interpolates layer 1
+# The variables OpenBLAS (numpy's BLAS) reads its thread count from, in its order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+LAYER1_BLOCK = 16  # hidden units per step of a point's layer-1 interpolation
 
 
 def _scan_workers() -> int:
-    """Threads that score lattice rows: the usable CPUs that BLAS's own threads leave free.
+    """Threads that score a lattice row: the usable CPUs that BLAS's own threads leave free.
 
-    BLAS runs as many threads as the first of ``BLAS_THREAD_VARS`` that is set
-    says.  With none set, or a value that is not a positive integer, it is
-    taken to run one per CPU, which leaves one worker.
+    BLAS runs as many threads as the first of ``BLAS_THREAD_VARS`` that holds
+    a positive integer says.  With none, it is taken to run one per CPU, which
+    leaves one worker.
     """
     cpus = usable_cpus()
-    value = next((os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ), "")
-    blas = int(value) if value.isdecimal() and int(value) > 0 else cpus
+    blas = next((int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
+                 if v is not None and v.isdecimal() and int(v) > 0), cpus)
     return max(1, cpus // blas)
 
 
@@ -75,15 +77,13 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
 
     The first layer's pre-activation is bilinear in (alpha, beta) too, so it
     is computed once per corner and interpolated like the weights, by the
-    same expression; only the deeper layers' weights are interpolated.
+    same expression, with each row's alpha part taken once; only the deeper
+    layers' weights are interpolated.
 
-    With more than one worker (:func:`_scan_workers`), the alpha rows are
-    scored on threads, one task per row, and each point interpolates its
-    layer-1 pre-activation from the corners' in blocks of ``LAYER1_BLOCK``
-    hidden units, so no per-row buffer stays alive beside the points in
-    flight.  With one worker, each row's alpha part is taken once, which
-    saves two thirds of the interpolation's operations.  Every elementwise
-    operation is the same either way, so the grid is the same to the last bit.
+    A row's points are scored on :func:`_scan_workers` threads; with one, on
+    the calling thread.  Each point is computed the same way on any thread, so
+    the grid is the same to the last bit, and holds one buffer per layer
+    while it is scored (see ``network.forward``).
 
     A non-finite corner makes the errors it reaches NaN; the caller can check
     ``has_failures``.
@@ -100,42 +100,28 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     alphas = np.linspace(0.0, 1.0, resolution)
     betas = np.linspace(0.0, 1.0, resolution)
     values = np.empty((resolution, resolution))
+    errors = np.geterr()  # numpy's error state is per thread: the caller's holds on every one
 
-    def score(alpha, beta, layer1):
-        # forward skips params[0] when layer1 is given, so layer 0 is not interpolated
-        params = [corners[0][0], *bilinear_interpolate(tails, alpha, beta)]
-        return evaluate(params, arch, dataset, metric, layer1=layer1)
-
-    errors = np.geterr()  # the caller's numpy error handling, for the worker threads too
-
-    def score_row(i):
-        alpha = alphas[i]
+    def score(alpha, top, bottom, beta):
         with np.errstate(**errors):
-            for j, beta in enumerate(betas):
-                layer1 = np.empty_like(h1)
-                for r in range(0, len(layer1), LAYER1_BLOCK):
-                    a, b, c, d = (h[r:r + LAYER1_BLOCK] for h in (h1, h2, h3, h4))
-                    # bilinear_interpolate's operations in its order, two temporaries in place
-                    top = np.multiply(a, alpha, out=layer1[r:r + LAYER1_BLOCK])
-                    top += (1.0 - alpha) * b
-                    top *= beta
-                    bottom = alpha * c
-                    bottom += (1.0 - alpha) * d
-                    bottom *= 1.0 - beta
-                    top += bottom
-                values[i, j] = score(alpha, beta, layer1)
+            # forward skips params[0] when layer1 is given, so layer 0 is not interpolated
+            params = [corners[0][0], *bilinear_interpolate(tails, alpha, beta)]
+            # beta * top + (1 - beta) * bottom, with one buffer of its size alive
+            layer1 = np.multiply(top, beta)
+            for r in range(0, len(layer1), LAYER1_BLOCK):
+                layer1[r:r + LAYER1_BLOCK] += (1.0 - beta) * bottom[r:r + LAYER1_BLOCK]
+            return evaluate(params, arch, dataset, metric, layer1=layer1)
 
-    workers = min(_scan_workers(), resolution)
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(score_row, range(resolution)))  # raises a row's error
-        return InterpolationGrid(alphas=alphas, betas=betas, values=values)
-    for i, alpha in enumerate(alphas):
-        # bilinear_interpolate's expression, its alpha part taken once per row
-        top = alpha * h1 + (1.0 - alpha) * h2
-        bottom = alpha * h3 + (1.0 - alpha) * h4
-        for j, beta in enumerate(betas):
-            values[i, j] = score(alpha, beta, beta * top + (1.0 - beta) * bottom)
+    # A wrapped evaluate (a tracer's, such as bench/spans.py's span recorder,
+    # which keeps one span stack for all threads) is called on this thread only.
+    workers = 1 if hasattr(evaluate, "__wrapped__") else min(_scan_workers(), resolution)
+    with ThreadPoolExecutor(workers) as pool:
+        score_all = pool.map if workers > 1 else map  # a pool starts no thread until used
+        for i, alpha in enumerate(alphas):
+            # bilinear_interpolate's expression, its alpha part taken once per row
+            top = alpha * h1 + (1.0 - alpha) * h2
+            bottom = alpha * h3 + (1.0 - alpha) * h4
+            values[i] = list(score_all(partial(score, alpha, top, bottom), betas))
     return InterpolationGrid(alphas=alphas, betas=betas, values=values)
 
 

@@ -80,6 +80,14 @@ class TestActivations:
         assert np.all(y > 0)
         assert np.max(np.abs(y.sum(axis=0) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["sigmoid", "relu", "softmax"])
+    def test_in_place_equals_a_new_buffer(self, kind):
+        x = np.random.default_rng(1).standard_normal((30, 50)) * 20
+        expected = net.activation(x, kind)
+        assert expected is not x
+        got = net.activation(x, kind, out=x)
+        assert got is x and np.array_equal(x, expected)
+
 
 class TestArchitecture:
     def test_rejects_short_or_empty_layers(self):
@@ -161,6 +169,23 @@ class TestForward:
         assert all(np.array_equal(p, q) for p, q in zip(given.states, plain.states))
         with pytest.raises(ShapeError):
             net.forward(params, arch, xs, h1[:, :5])
+
+    @pytest.mark.parametrize("widths, activation, loss", [
+        ([3, 4, 2], "sigmoid", "quadratic"),
+        ([3, 4, 2], "relu", "cross_entropy"),
+        ([3, 2], "sigmoid", "quadratic"),
+        ([3, 2], "relu", "cross_entropy"),  # layer 1 is the softmax output
+    ])
+    def test_given_layer1_becomes_the_first_state(self, widths, activation, loss):
+        # with layer1 given, each activation is taken in place over its pre-activation
+        arch = net.Architecture(widths, activation, loss=loss)
+        params, _, _ = random_case(arch, 7)
+        xs = np.random.default_rng(8).standard_normal((3, 6))
+        h1 = net.preactivation(params[0], xs)
+        given = net.forward(params, arch, xs, h1)
+        assert given.states[1] is h1
+        plain = net.forward(params, arch, xs)
+        assert all(np.array_equal(p, q) for p, q in zip(given.states, plain.states))
 
 
 class TestLoss:

@@ -1,3 +1,6 @@
+import functools
+import threading
+
 import numpy as np
 import pytest
 
@@ -153,7 +156,7 @@ class TestScanSurface:
 
 
 class TestScanWorkers:
-    """Rows are scored on as many threads as BLAS's own threads leave CPUs free."""
+    """A row's points are scored on as many threads as BLAS's own threads leave CPUs free."""
 
     @pytest.mark.parametrize("env, cpus, workers", [
         ("OPENBLAS_NUM_THREADS=1", 2, 2),
@@ -165,13 +168,20 @@ class TestScanWorkers:
         ("OPENBLAS_NUM_THREADS=abc", 2, 1),
         ("OPENBLAS_NUM_THREADS=", 2, 1),
         ("OPENBLAS_NUM_THREADS=-1", 2, 1),
-        ("MKL_NUM_THREADS=1", 2, 2),
         ("OMP_NUM_THREADS=1", 3, 3),
-        ("MKL_NUM_THREADS=2 OMP_NUM_THREADS=1", 2, 1),
-        ("OPENBLAS_NUM_THREADS=abc OMP_NUM_THREADS=1", 2, 1),
+        ("GOTO_NUM_THREADS=1", 2, 2),
+        ("OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=1", 2, 1),
+        ("OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=2", 2, 2),
+        ("GOTO_NUM_THREADS=2 OMP_NUM_THREADS=1", 2, 1),
+        # OpenBLAS reads a value that is not a positive count as unset
+        ("OPENBLAS_NUM_THREADS=abc OMP_NUM_THREADS=1", 2, 2),
+        ("OPENBLAS_NUM_THREADS=0 OMP_NUM_THREADS=1", 2, 2),
+        # MKL's variable does not reach OpenBLAS
+        ("MKL_NUM_THREADS=1", 2, 1),
+        ("MKL_NUM_THREADS=2 OMP_NUM_THREADS=1", 2, 2),
     ])
     def test_worker_count(self, monkeypatch, env, cpus, workers):
-        for var in surface.BLAS_THREAD_VARS:
+        for var in (*surface.BLAS_THREAD_VARS, "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for setting in env.split():
             monkeypatch.setenv(*setting.split("="))
@@ -196,42 +206,62 @@ class TestParallelScan:
         labels = rng.integers(0, widths[-1], 2500)  # 2500: evaluate runs two chunks
         ds = LabeledDataset(inputs=rng.standard_normal((2500, widths[0])),
                             targets=np.eye(widths[-1])[labels])
-        pools = []
-
-        class Pool(surface.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
         # each point's layer-1 pre-activation and weights, bytewise: a one-ulp
         # difference there need not reach the error a point reports
-        inputs = []
+        inputs, threads = [], set()
 
         def recording_evaluate(params, arch, dataset, metric, layer1):
             inputs.append(b"".join(a.tobytes() for a in (layer1, *params)))
+            threads.add(threading.get_ident())
             return evaluate(params, arch, dataset, metric, layer1=layer1)
 
-        monkeypatch.setattr(surface, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(surface, "evaluate", recording_evaluate)
         grids, seen = {}, {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(surface, "_scan_workers", lambda: workers)
             inputs.clear()
+            threads.clear()
             grids[workers] = scan_surface(corners, resolution, arch, ds, metric).values
-            seen[workers] = sorted(inputs)  # threads score rows in any order
-        assert pools == [2, min(3, resolution)]  # one worker runs no pool
+            seen[workers] = inputs[:]
+            if workers == 1:
+                assert threads == {threading.get_ident()}  # one worker is the calling thread
+            else:
+                assert threading.get_ident() not in threads
+                assert len(threads) <= min(workers, resolution)
         assert np.array_equal(grids[2], grids[1]) and np.array_equal(grids[3], grids[1])
-        assert seen[2] == seen[1] and seen[3] == seen[1]
+        # a row's points finish in any order on threads, and rows in order
+        for workers in (2, 3):
+            for i in range(resolution):
+                row = slice(i * resolution, (i + 1) * resolution)
+                assert sorted(seen[workers][row]) == sorted(seen[1][row])
         assert len(seen[1]) == resolution ** 2 and np.isfinite(grids[1]).all()
 
+    def test_wrapped_evaluate_runs_on_the_calling_thread(self, monkeypatch, small_setup):
+        # a tracer's wrapper, such as the benchmark's span recorder, need not be thread-safe
+        arch, corners, ds = small_setup
+        threads = []
+
+        @functools.wraps(evaluate)
+        def traced(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "_scan_workers", lambda: 2)
+        monkeypatch.setattr(surface, "evaluate", traced)
+        grid = scan_surface(corners, 3, arch, ds, "mse")
+        assert threads == [threading.get_ident()] * 9
+        monkeypatch.undo()
+        assert np.array_equal(grid.values, scan_surface(corners, 3, arch, ds, "mse").values)
+
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("layer", [0, 1])  # the layer-1 pre-activation, the weights
     def test_callers_numpy_error_handling_holds_on_every_thread(self, monkeypatch,
-                                                                small_setup, workers):
-        # inf in one corner's first layer: inf - inf and 0 * inf in the interpolation
+                                                                small_setup, workers, layer):
+        # inf and -inf in two corners' weights: inf - inf and 0 * inf in the interpolation
         arch, corners, ds = small_setup
         broken = [[w.copy() for w in c] for c in corners]
-        broken[0][0][0, 0] = np.inf
-        broken[1][0][0, 0] = -np.inf
+        broken[0][layer][0, 0] = np.inf
+        broken[1][layer][0, 0] = -np.inf
         monkeypatch.setattr(surface, "_scan_workers", lambda: workers)
         with np.errstate(invalid="ignore", over="ignore"):
             grid = scan_surface(broken, 3, arch, ds, "mse")
