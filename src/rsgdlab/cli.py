@@ -74,7 +74,7 @@ def even_count(value: str) -> int:
 
 # key -> (default, argparse keywords); the flag is the key with '-' for '_'.
 OPTIONS = {
-    "seed": (0, {"type": int}),
+    "seed": (0, {"type": at_least(0)}),
     "optimizer": ("rsgd", {"type": name, "choices": OPTIMIZERS}),
     "schedule": ("exp_gamma", {"type": name, "choices": ["exp_gamma", "power_law"]}),
     "gamma0": (0.9995, {"type": float}),
@@ -296,7 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-out", type=at_least(1), required=True)
     p.add_argument("--count", type=even_count, required=True,
                    help="total examples (half train, half test)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 

@@ -63,6 +63,33 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The variables OpenBLAS (numpy's BLAS) reads its thread count from, in its order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_free_threads() -> int:
+    """Threads that can run numpy side by side: the usable CPUs // BLAS's own threads.
+
+    BLAS runs as many threads as the first of ``BLAS_THREAD_VARS`` that holds
+    a positive integer says.  With none, it is taken to run one per CPU, which
+    leaves one.
+    """
+    cpus = usable_cpus()
+    blas = next((int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
+                 if v is not None and v.isdecimal() and int(v) > 0), cpus)
+    return max(1, cpus // blas)
+
+
+def threads_for(fn, limit: int) -> int:
+    """Threads to call ``fn`` on at once: :func:`blas_free_threads`, at most ``limit``.
+
+    A wrapped ``fn`` (one with ``__wrapped__``: a tracer's, such as the
+    benchmark's span recorder, which keeps one span stack for all threads) is
+    called on the calling thread only, so this is 1.
+    """
+    return 1 if hasattr(fn, "__wrapped__") else min(blas_free_threads(), limit)
+
+
 def _stream_key(stream_id: str) -> int:
     # crc32 is stable across platforms and Python versions (unlike hash()).
     return zlib.crc32(stream_id.encode("utf-8"))

@@ -11,13 +11,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import data as data_mod
 from . import network as net
-from .core import RngStream
+from .core import RngStream, threads_for
 from .optim import Adam, Nag, Rsgd, Schedule, Sgdm, VanillaSgd
 
 OPTIMIZERS = ("backprop", "rsgd", "sgdm", "nag", "adam")
@@ -170,6 +171,13 @@ def _make_optimizer(config: TrainConfig, params):
     return Adam(params)
 
 
+def _now(fn, *args) -> Future:
+    """``fn(*args)``, called on the calling thread, as a finished Future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def train(config: TrainConfig,
           datasets: tuple[data_mod.LabeledDataset, data_mod.LabeledDataset] | None = None,
           ) -> TrainResult:
@@ -195,15 +203,34 @@ def train(config: TrainConfig,
     checkpoints: dict[int, list[np.ndarray]] = {}
     if 0 in config.checkpoint_epochs:
         checkpoints[0] = [w.copy() for w in params]
+    history: list[MetricsRecord] = []
 
-    history = [MetricsRecord(
-        epoch=0,
-        train_error=evaluate(params, arch, train_set, config.metric),
-        test_error=evaluate(params, arch, test_set, config.metric),
-        eta=eta, gamma=gamma_now(0, 0), wall_time_s=0.0)]
+    def score(params):
+        """Train and test error of ``params``, and the seconds they took."""
+        started = time.perf_counter()
+        with np.errstate(**errors):  # numpy's error state is per thread
+            return (evaluate(params, arch, train_set, config.metric),
+                    evaluate(params, arch, test_set, config.metric),
+                    time.perf_counter() - started)
 
-    # a non-finite loss or weight raises DivergenceError below, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    def log(epoch, eta, gamma, train_s, scored, diverged=False):
+        """Append the epoch's record once its score is in; DivergenceError if it diverged."""
+        train_error, test_error, score_s = scored.result()
+        history.append(MetricsRecord(epoch=epoch, train_error=train_error,
+                                     test_error=test_error, eta=eta, gamma=gamma,
+                                     wall_time_s=train_s + score_s))
+        if epoch and (diverged or not (np.isfinite(train_error) and np.isfinite(test_error))):
+            raise DivergenceError(f"non-finite loss or weights at epoch {epoch}", history)
+
+    # a non-finite loss or weight raises DivergenceError, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            ThreadPoolExecutor(1) as pool:
+        errors = np.geterr()
+        # Epoch e is scored on the pool's thread while epoch e + 1 trains on this
+        # one.  Each step binds params to new arrays, so the ones being scored
+        # are never written.
+        submit = pool.submit if threads_for(evaluate, 2) > 1 else _now
+        pending = (0, eta, gamma_now(0, 0), 0.0, submit(score, params))
         for epoch in range(1, config.epochs + 1):
             started = time.perf_counter()
             t_ep = epoch - 1  # completed epochs while this one runs
@@ -213,24 +240,20 @@ def train(config: TrainConfig,
                 # the trace and the deltas stay unnamed, so neither outlives its statement
                 grads = net.backward(at, arch, net.forward(at, arch, x), y_true)
                 params = [w + d for w, d in zip(params, optimizer.step(grads, eta, t_ep=t_ep))]
+            train_s = time.perf_counter() - started
 
             gamma_logged = gamma_now(optimizer.t, t_ep)
             # epoch-boundary refresh: eta compounds by beta^epoch, floored
             eta = max(eta * config.beta ** epoch, config.eta_floor)
 
-            train_error = evaluate(params, arch, train_set, config.metric)
-            test_error = evaluate(params, arch, test_set, config.metric)
-            record = MetricsRecord(epoch=epoch, train_error=train_error,
-                                   test_error=test_error, eta=eta,
-                                   gamma=gamma_logged,
-                                   wall_time_s=time.perf_counter() - started)
-            history.append(record)
-            if not (np.isfinite(train_error) and np.isfinite(test_error)
-                    and all(np.isfinite(w).all() for w in params)):
-                raise DivergenceError(
-                    f"non-finite loss or weights at epoch {epoch}", history)
+            log(*pending)  # the previous epoch's record comes first, as does its divergence
+            trained = (epoch, eta, gamma_logged, train_s)
+            if not all(np.isfinite(w).all() for w in params):
+                log(*trained, _now(score, params), diverged=True)
             if epoch in config.checkpoint_epochs:
                 checkpoints[epoch] = [w.copy() for w in params]
+            pending = (*trained, submit(score, params))
+        log(*pending)
 
     return TrainResult(config=config, history=history, params=params,
                        checkpoints=checkpoints,

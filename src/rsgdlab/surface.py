@@ -10,7 +10,6 @@ applied matrix-wise, so the corners of the (alpha, beta) unit square map to
 from __future__ import annotations
 
 import csv
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -18,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import network as net
-from .core import ShapeError, usable_cpus
+from .core import ShapeError, threads_for
 from .data import LabeledDataset
 from .experiment import _open_csv, evaluate
 
@@ -53,22 +52,7 @@ def bilinear_interpolate(corners, alpha: float, beta: float) -> list[np.ndarray]
     ]
 
 
-# The variables OpenBLAS (numpy's BLAS) reads its thread count from, in its order.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 LAYER1_BLOCK = 16  # hidden units per step of a point's layer-1 interpolation
-
-
-def _scan_workers() -> int:
-    """Threads that score a lattice row: the usable CPUs that BLAS's own threads leave free.
-
-    BLAS runs as many threads as the first of ``BLAS_THREAD_VARS`` that holds
-    a positive integer says.  With none, it is taken to run one per CPU, which
-    leaves one worker.
-    """
-    cpus = usable_cpus()
-    blas = next((int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
-                 if v is not None and v.isdecimal() and int(v) > 0), cpus)
-    return max(1, cpus // blas)
 
 
 def scan_surface(corners, resolution: int, arch: net.Architecture,
@@ -80,10 +64,10 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     same expression, with each row's alpha part taken once; only the deeper
     layers' weights are interpolated.
 
-    A row's points are scored on :func:`_scan_workers` threads; with one, on
-    the calling thread.  Each point is computed the same way on any thread, so
-    the grid is the same to the last bit, and holds one buffer per layer
-    while it is scored (see ``network.forward``).
+    A row's points are scored on ``core.threads_for(evaluate, resolution)``
+    threads; with one, on the calling thread.  Each point is computed the same
+    way on any thread, so the grid is the same to the last bit, and holds one
+    buffer per layer while it is scored (see ``network.forward``).
 
     A non-finite corner makes the errors it reaches NaN; the caller can check
     ``has_failures``.
@@ -112,9 +96,7 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
                 layer1[r:r + LAYER1_BLOCK] += (1.0 - beta) * bottom[r:r + LAYER1_BLOCK]
             return evaluate(params, arch, dataset, metric, layer1=layer1)
 
-    # A wrapped evaluate (a tracer's, such as bench/spans.py's span recorder,
-    # which keeps one span stack for all threads) is called on this thread only.
-    workers = 1 if hasattr(evaluate, "__wrapped__") else min(_scan_workers(), resolution)
+    workers = threads_for(evaluate, resolution)
     with ThreadPoolExecutor(workers) as pool:
         score_all = pool.map if workers > 1 else map  # a pool starts no thread until used
         for i, alpha in enumerate(alphas):

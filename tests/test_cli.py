@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -477,6 +478,74 @@ class TestExitCodes:
         assert "out of memory" in err.strip().splitlines()[-1]
 
 
+def numeric_keys() -> dict[str, list[str]]:
+    """Each subcommand's keys whose values are numbers or lists of numbers."""
+    numeric = {"int", "float", "count", "even_count", "momentum", "widths", "epoch_list"}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    return {command: [a.dest for a in sub._actions
+                      if getattr(a.type, "__name__", None) in numeric]
+            for command, sub in commands.choices.items()}
+
+
+TINY = ["--arch", "3-4-2", "--batch", "5", "--train-count", "10", "--test-count", "10",
+        "--epochs", "2"]
+# a run of each subcommand on tiny data; {tmp} is the test's directory, {run} a
+# directory with a tiny run's checkpoints and data
+CONTRACT_RUNS = {
+    "gen-data": ["--n-in", "3", "--n-out", "2", "--count", "8", "--out", "{tmp}/data"],
+    "train": [*TINY, "--out", "{tmp}/run"],
+    "suite": [*TINY, "--runs", "2"],
+    "scan-surface": ["--data-test", "{run}/test.bin", "--resolution", "3", "--checkpoints",
+                     ",".join(f"{{run}}/epoch_000{e}.ckpt" for e in range(4))],
+    "analyze-memory": ["--t", "5", "--simulate", "100"],
+}
+TRAIN_KEYS = ["seed", "gamma0", "lambda", "a0", "b0", "rho", "eta0", "beta", "eta_floor",
+              "batch", "epochs", "train_count", "test_count", "arch"]
+NUMERIC_KEYS = {
+    "gen-data": ["n_in", "n_out", "count", "seed"],
+    "train": [*TRAIN_KEYS, "checkpoint_epochs"],
+    "suite": [*TRAIN_KEYS, "runs", "jobs"],
+    "scan-surface": ["resolution"],
+    "analyze-memory": ["seed", "gamma0", "a0", "b0", "t", "simulate"],
+}
+# the flags without which a command does not read the key
+READ_WITH = {"a0": ["--schedule", "power_law"], "b0": ["--schedule", "power_law"],
+             "rho": ["--optimizer", "sgdm"]}
+
+
+class TestNumericContract:
+    """No number a user types makes a subcommand print a traceback or a warning."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        run = tmp_path_factory.mktemp("run")
+        assert main(["gen-data", "--n-in", "3", "--n-out", "2", "--count", "20",
+                     "--out", str(run)]) == 0
+        assert main(["train", *TINY, "--epochs", "3", "--checkpoint-epochs", "0,1,2,3",
+                     "--data-train", str(run / "train.bin"),
+                     "--data-test", str(run / "test.bin"), "--out", str(run)]) == 0
+        return run
+
+    def test_every_numeric_key_is_in_the_table(self):
+        assert numeric_keys() == {**NUMERIC_KEYS, "eval": []}  # eval reads no number
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in NUMERIC_KEYS.items() for key in keys])
+    def test_exits_0_1_or_2_with_at_most_one_error_line(self, tmp_path, run, capsys,
+                                                        command, key, value):
+        given = f"3-{value}-2" if key == "arch" else value
+        argv = [command, *(a.format(tmp=tmp_path, run=run) for a in CONTRACT_RUNS[command]),
+                *READ_WITH.get(key, []), f"--{key.replace('_', '-')}={given}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning of any kind fails the case
+            code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2)
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+        assert "Traceback" not in err and "Warning" not in err
+
+
 class TestConfigParsing:
     """A --config value passes the same checks as the flag of the same name."""
 
@@ -538,6 +607,10 @@ class TestConfigParsing:
         ("--batch", ["train", "--batch", "0"]),
         ("--train-count", ["suite", "--train-count", "0"]),
         ("--test-count", ["train", "--test-count", "0"]),
+        ("--seed", ["train", "--seed", "-1"]),
+        ("--seed", ["gen-data", "--n-in", "1", "--n-out", "1", "--count", "4", "--seed", "-1",
+                    "--out", "x"]),
+        ("--seed", ["analyze-memory", "--t", "5", "--simulate", "10", "--seed", "-1"]),
     ])
     def test_count_out_of_range_is_a_usage_error(self, capsys, flag, argv):
         code, _, err = run_cli(capsys, *argv)

@@ -1,14 +1,17 @@
 import concurrent.futures
 import ctypes
+import functools
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import rsgdlab
 from conftest import write_idx_pair
+from rsgdlab import core, experiment
 from rsgdlab import network as net
 from rsgdlab.core import RngStream
 from rsgdlab.data import LabeledDataset, one_hot, save_dataset
@@ -20,10 +23,10 @@ from rsgdlab.optim import ExpGammaSchedule, PowerLawSchedule
 
 
 def histories_identical(a, b):
-    """Bitwise equality of the deterministic metric fields (wall time varies)."""
+    """Bitwise equality of the deterministic metric fields (wall time varies); NaN equals NaN."""
     return len(a) == len(b) and all(
-        (r.epoch, r.train_error, r.test_error, r.eta, r.gamma)
-        == (s.epoch, s.train_error, s.test_error, s.eta, s.gamma)
+        repr((r.epoch, r.train_error, r.test_error, r.eta, r.gamma))
+        == repr((s.epoch, s.train_error, s.test_error, s.eta, s.gamma))
         for r, s in zip(a, b))
 
 
@@ -278,6 +281,101 @@ class TestTrainLoop:
                                                            eta_floor):
         cfg = TrainConfig(net.Architecture([4, 6, 3]), optimizer=optimizer, **given)
         assert (cfg.eta0, cfg.eta_floor) == (eta0, eta_floor)
+
+
+EVERY_OPTIMIZER = {
+    "backprop": {},
+    "rsgd": {"schedule": PowerLawSchedule(1.0, 0.5)},
+    "sgdm": {"rho": 0.5},
+    "nag": {"rho": "adaptive", "schedule": ExpGammaSchedule(0.9, 0.0)},
+    "adam": {"eta0": 0.01, "eta_floor": 0.001},
+}
+
+
+def overflowing_test_set(cfg):
+    """cfg's datasets with a test target whose squared error overflows to inf."""
+    train_set, test_set = build_datasets(cfg)
+    test_set.targets[0, 0] = 1e300
+    return train_set, test_set
+
+
+class TestPipelinedScoring:
+    """With two threads free, epoch e is scored on a worker thread while epoch e + 1 trains."""
+
+    @pytest.mark.parametrize("optimizer", list(EVERY_OPTIMIZER))
+    def test_same_bits_as_scoring_inline(self, monkeypatch, optimizer):
+        cfg = toy_config(optimizer=optimizer, checkpoint_epochs=(0, 2, 5),
+                         **EVERY_OPTIMIZER[optimizer])
+        threads = set()
+
+        def recording_evaluate(*args):
+            threads.add(threading.get_ident())
+            return evaluate(*args)
+
+        monkeypatch.setattr(experiment, "evaluate", recording_evaluate)
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(core, "blas_free_threads", lambda: workers)
+            threads.clear()
+            results[workers] = train(cfg)
+            # one worker scores on the calling thread, two on the pool's thread alone
+            assert (threading.get_ident() in threads) == (workers == 1) and len(threads) == 1
+        inline, pipelined = results[1], results[2]
+        assert histories_identical(inline.history, pipelined.history)
+        assert len(pipelined.history) == cfg.epochs + 1
+        for a, b in zip(inline.params, pipelined.params):
+            assert a.tobytes() == b.tobytes()
+        assert sorted(pipelined.checkpoints) == [0, 2, 5]
+        for epoch, params in inline.checkpoints.items():
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(params, pipelined.checkpoints[epoch]))
+
+    # eta0=inf: the weights diverge, and the epoch is scored on the calling thread;
+    # a test target of 1e300: the test error overflows on the worker thread, and
+    # numpy's overflow warning is an error under this suite's filterwarnings
+    @pytest.mark.parametrize("overrides, datasets", [
+        ({"eta0": np.inf}, None),
+        ({}, overflowing_test_set),
+    ], ids=["infinite-step-size", "overflowing-test-error"])
+    def test_divergence_at_the_same_epoch_with_the_same_history(self, monkeypatch,
+                                                                  overrides, datasets):
+        cfg = toy_config(epochs=3, **overrides)
+        raised = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(core, "blas_free_threads", lambda: workers)
+            with pytest.raises(DivergenceError, match="at epoch 1$") as excinfo:
+                train(cfg, datasets and datasets(cfg))
+            raised[workers] = excinfo.value
+        assert str(raised[1]) == str(raised[2])
+        assert histories_identical(raised[1].history, raised[2].history)
+        assert [r.epoch for r in raised[2].history] == [0, 1]
+        assert not np.isfinite(raised[2].history[-1].test_error)
+
+    def test_no_thread_outlives_train(self, monkeypatch):
+        monkeypatch.setattr(core, "blas_free_threads", lambda: 2)
+        before = threading.active_count()
+        train(toy_config())
+        assert threading.active_count() == before
+        with pytest.raises(DivergenceError):
+            train(toy_config(epochs=3), overflowing_test_set(toy_config(epochs=3)))
+        assert threading.active_count() == before
+
+    def test_wrapped_evaluate_runs_on_the_calling_thread(self, monkeypatch):
+        # a tracer's wrapper, such as the benchmark's span recorder, need not be thread-safe
+        threads = []
+
+        @functools.wraps(evaluate)
+        def traced(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(core, "blas_free_threads", lambda: 2)
+        monkeypatch.setattr(experiment, "evaluate", traced)
+        cfg = toy_config()
+        result = train(cfg)
+        assert threads == [threading.get_ident()] * 2 * (cfg.epochs + 1)
+        monkeypatch.undo()
+        assert histories_identical(result.history, train(cfg).history)
 
 
 class TestSuite:

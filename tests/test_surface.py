@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from rsgdlab import core
 from rsgdlab import network as net
 from rsgdlab import surface
 from rsgdlab.core import RngStream, ShapeError
@@ -181,12 +182,12 @@ class TestScanWorkers:
         ("MKL_NUM_THREADS=2 OMP_NUM_THREADS=1", 2, 2),
     ])
     def test_worker_count(self, monkeypatch, env, cpus, workers):
-        for var in (*surface.BLAS_THREAD_VARS, "MKL_NUM_THREADS"):
+        for var in (*core.BLAS_THREAD_VARS, "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for setting in env.split():
             monkeypatch.setenv(*setting.split("="))
-        monkeypatch.setattr(surface, "usable_cpus", lambda: cpus)
-        assert surface._scan_workers() == workers
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        assert core.blas_free_threads() == workers
 
 
 class TestParallelScan:
@@ -218,7 +219,7 @@ class TestParallelScan:
         monkeypatch.setattr(surface, "evaluate", recording_evaluate)
         grids, seen = {}, {}
         for workers in (1, 2, 3):
-            monkeypatch.setattr(surface, "_scan_workers", lambda: workers)
+            monkeypatch.setattr(core, "blas_free_threads", lambda: workers)
             inputs.clear()
             threads.clear()
             grids[workers] = scan_surface(corners, resolution, arch, ds, metric).values
@@ -246,7 +247,7 @@ class TestParallelScan:
             threads.append(threading.get_ident())
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(surface, "_scan_workers", lambda: 2)
+        monkeypatch.setattr(core, "blas_free_threads", lambda: 2)
         monkeypatch.setattr(surface, "evaluate", traced)
         grid = scan_surface(corners, 3, arch, ds, "mse")
         assert threads == [threading.get_ident()] * 9
@@ -262,7 +263,7 @@ class TestParallelScan:
         broken = [[w.copy() for w in c] for c in corners]
         broken[0][layer][0, 0] = np.inf
         broken[1][layer][0, 0] = -np.inf
-        monkeypatch.setattr(surface, "_scan_workers", lambda: workers)
+        monkeypatch.setattr(core, "blas_free_threads", lambda: workers)
         with np.errstate(invalid="ignore", over="ignore"):
             grid = scan_surface(broken, 3, arch, ds, "mse")
         assert grid.has_failures
@@ -272,7 +273,7 @@ class TestParallelScan:
 
     def test_error_in_a_row_is_raised(self, monkeypatch, small_setup):
         arch, corners, ds = small_setup
-        monkeypatch.setattr(surface, "_scan_workers", lambda: 2)
+        monkeypatch.setattr(core, "blas_free_threads", lambda: 2)
         with pytest.raises(ValueError, match="metric"):
             scan_surface(corners, 3, arch, ds, "accuracy")
 
