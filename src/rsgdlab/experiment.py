@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import network as net
-from .core import RngStream, threads_for
+from .core import RngStream, ShapeError, threads_for
 from .optim import Adam, Nag, Rsgd, Schedule, Sgdm, VanillaSgd
 
 OPTIMIZERS = ("backprop", "rsgd", "sgdm", "nag", "adam")
@@ -115,6 +115,15 @@ class TrainResult:
         return self.history[-1].test_error
 
 
+def check_widths(arch: net.Architecture, dataset: data_mod.LabeledDataset) -> None:
+    """``ShapeError`` unless ``dataset``'s inputs and targets are as wide as ``arch``'s ends."""
+    if dataset.n_in != arch.n_in:
+        raise ShapeError(f"dataset has {dataset.n_in} inputs, architecture expects {arch.n_in}")
+    if dataset.n_out != arch.n_out:
+        raise ShapeError(f"dataset has {dataset.n_out} target columns, "
+                         f"architecture has {arch.n_out} outputs")
+
+
 def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
              metric: str, layer1=None) -> float:
     """Mean error over a dataset; forward passes chunked to bound memory.
@@ -125,6 +134,7 @@ def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
+    check_widths(arch, dataset)
     n = len(dataset)
     total = 0.0
     for start in range(0, n, EVAL_CHUNK):
@@ -186,10 +196,8 @@ def train(config: TrainConfig,
     if datasets is None:
         datasets = build_datasets(config)
     train_set, test_set = datasets
-    if train_set.n_in != arch.n_in or train_set.n_out != arch.n_out:
-        raise ValueError(
-            f"dataset dimensions ({train_set.n_in}->{train_set.n_out}) do not match "
-            f"architecture ({arch.n_in}->{arch.n_out})")
+    for dataset in datasets:
+        check_widths(arch, dataset)
 
     params = net.init_params(arch, RngStream(config.seed, "weight-init"))
     optimizer = _make_optimizer(config, params)

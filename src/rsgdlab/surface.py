@@ -10,6 +10,7 @@ applied matrix-wise, so the corners of the (alpha, beta) unit square map to
 from __future__ import annotations
 
 import csv
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -19,7 +20,7 @@ import numpy as np
 from . import network as net
 from .core import ShapeError, threads_for
 from .data import LabeledDataset
-from .experiment import _open_csv, evaluate
+from .experiment import _now, _open_csv, check_widths, evaluate
 
 
 @dataclass
@@ -52,7 +53,20 @@ def bilinear_interpolate(corners, alpha: float, beta: float) -> list[np.ndarray]
     ]
 
 
-LAYER1_BLOCK = 16  # hidden units per step of a point's layer-1 interpolation
+LAYER1_BLOCK = 16  # rows per step of a layer-1 blend, so no temporary of its size is alive
+
+
+def blend(out, w: float, a, b):
+    """``out = w * a + (1 - w) * b``, ``LAYER1_BLOCK`` rows at a time.
+
+    This is :func:`bilinear_interpolate`'s expression, so it gives the same
+    bits, and it needs no buffer besides ``out``.
+    """
+    for r in range(0, len(out), LAYER1_BLOCK):
+        rows = slice(r, r + LAYER1_BLOCK)
+        np.multiply(a[rows], w, out=out[rows])
+        out[rows] += (1.0 - w) * b[rows]
+    return out
 
 
 def scan_surface(corners, resolution: int, arch: net.Architecture,
@@ -61,13 +75,18 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
 
     The first layer's pre-activation is bilinear in (alpha, beta) too, so it
     is computed once per corner and interpolated like the weights, by the
-    same expression, with each row's alpha part taken once; only the deeper
-    layers' weights are interpolated.
+    same expression (:func:`blend`), with each row's alpha part taken once;
+    only the deeper layers' weights are interpolated.
 
-    A row's points are scored on ``core.threads_for(evaluate, resolution)``
-    threads; with one, on the calling thread.  Each point is computed the same
-    way on any thread, so the grid is the same to the last bit, and holds one
-    buffer per layer while it is scored (see ``network.forward``).
+    The corner products and the points are computed on
+    ``core.threads_for(evaluate, resolution)`` threads; with one, on the
+    calling thread.  One top/bottom pair holds the current row's alpha part.
+    Row i + 1's part is written into it as soon as every point of row i has
+    built its layer 1 from it, and row i + 1's points queue behind row i's, so
+    rows overlap and no thread waits at a row's end.  At most two rows of
+    points are pending at once.  Each point is computed the same way on any
+    thread, so the grid is the same to the last bit, and holds one buffer per
+    layer while it is scored (see ``network.forward``).
 
     A non-finite corner makes the errors it reaches NaN; the caller can check
     ``has_failures``.
@@ -76,34 +95,50 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     net.check_params(arch, corners[0])
-    if dataset.n_in != arch.n_in:
-        raise ShapeError(f"dataset has {dataset.n_in} inputs, architecture expects {arch.n_in}")
+    check_widths(arch, dataset)
     x = dataset.inputs.T
-    h1, h2, h3, h4 = (net.preactivation(c[0], x) for c in corners)
     tails = [c[1:] for c in corners]
     alphas = np.linspace(0.0, 1.0, resolution)
     betas = np.linspace(0.0, 1.0, resolution)
     values = np.empty((resolution, resolution))
     errors = np.geterr()  # numpy's error state is per thread: the caller's holds on every one
+    blended = threading.Semaphore(0)  # one release per point that is done with top and bottom
 
-    def score(alpha, top, bottom, beta):
+    def corner(w):
         with np.errstate(**errors):
-            # forward skips params[0] when layer1 is given, so layer 0 is not interpolated
-            params = [corners[0][0], *bilinear_interpolate(tails, alpha, beta)]
-            # beta * top + (1 - beta) * bottom, with one buffer of its size alive
-            layer1 = np.multiply(top, beta)
-            for r in range(0, len(layer1), LAYER1_BLOCK):
-                layer1[r:r + LAYER1_BLOCK] += (1.0 - beta) * bottom[r:r + LAYER1_BLOCK]
+            return net.preactivation(w, x)
+
+    def score(alpha, beta):
+        with np.errstate(**errors):
+            try:
+                # forward skips params[0] when layer1 is given, so layer 0 is not interpolated;
+                # the weights come first, so their temporaries are freed before layer1 exists
+                params = [corners[0][0], *bilinear_interpolate(tails, alpha, beta)]
+                layer1 = blend(np.empty_like(top), beta, top, bottom)
+            finally:
+                blended.release()
             return evaluate(params, arch, dataset, metric, layer1=layer1)
 
     workers = threads_for(evaluate, resolution)
     with ThreadPoolExecutor(workers) as pool:
-        score_all = pool.map if workers > 1 else map  # a pool starts no thread until used
-        for i, alpha in enumerate(alphas):
-            # bilinear_interpolate's expression, its alpha part taken once per row
-            top = alpha * h1 + (1.0 - alpha) * h2
-            bottom = alpha * h3 + (1.0 - alpha) * h4
-            values[i] = list(score_all(partial(score, alpha, top, bottom), betas))
+        submit = pool.submit if workers > 1 else _now  # a pool starts no thread until used
+        h1, h2, h3, h4 = [f.result() for f in [submit(corner, c[0]) for c in corners]]
+        top, bottom = np.empty_like(h1), np.empty_like(h1)
+        pending = []
+        try:
+            for i, alpha in enumerate(alphas):
+                for _ in pending:  # every point of row i - 1 has read top and bottom
+                    blended.acquire()
+                blend(top, alpha, h1, h2)
+                blend(bottom, alpha, h3, h4)
+                row = list(map(partial(submit, score, alpha), betas))
+                if pending:
+                    values[i - 1] = [f.result() for f in pending]
+                pending = row
+            values[-1] = [f.result() for f in pending]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # the points still queued need not run
+            raise
     return InterpolationGrid(alphas=alphas, betas=betas, values=values)
 
 

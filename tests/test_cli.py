@@ -325,6 +325,26 @@ class TestEvalAndSurface:
         assert err.strip().splitlines()[-1].startswith(
             f"error: {other_path}: {other} differs from ")
 
+    @pytest.mark.parametrize("n_out", [1, 5])
+    @pytest.mark.parametrize("command", ["eval", "scan-surface"])
+    def test_targets_unlike_the_outputs_exit_2(self, trained, capsys, command, n_out):
+        tmp_path, _, out = trained
+        data_dir = tmp_path / f"data-{n_out}"
+        run_cli(capsys, "gen-data", "--n-in", "4", "--n-out", str(n_out),
+                "--count", "20", "--out", str(data_dir))
+        if command == "eval":
+            argv = ["--checkpoint", str(out / "final.ckpt")]
+        else:
+            argv = ["--checkpoints", ",".join(str(out / f"epoch_{e:04d}.ckpt") for e in range(4)),
+                    "--resolution", "3"]
+        code, stdout, err = run_cli(capsys, command, *argv,
+                                    "--data-test", str(data_dir / "test.bin"))
+        assert code == 2
+        assert stdout == ""
+        TestExitCodes.assert_one_error(err)
+        assert err.strip().splitlines()[-1] == (
+            f"error: dataset has {n_out} target columns, architecture has 3 outputs")
+
 
 class TestAnalyzeMemory:
     def test_pmf_csv_sums_to_one(self, capsys):

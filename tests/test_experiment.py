@@ -13,7 +13,7 @@ import rsgdlab
 from conftest import write_idx_pair
 from rsgdlab import core, experiment
 from rsgdlab import network as net
-from rsgdlab.core import RngStream
+from rsgdlab.core import RngStream, ShapeError
 from rsgdlab.data import LabeledDataset, one_hot, save_dataset
 from rsgdlab.experiment import (DivergenceError, MetricsRecord, SuiteRow,
                                 TrainConfig, build_datasets, evaluate,
@@ -69,6 +69,16 @@ class TestEvaluate:
 
     def test_argmax_ties_break_low(self):
         assert np.argmax(np.array([0.5, 0.5])) == 0
+
+    @pytest.mark.parametrize("n_out", [1, 5])
+    @pytest.mark.parametrize("metric", ["mse", "classification_error"])
+    def test_targets_unlike_the_outputs_rejected(self, n_out, metric):
+        # numpy broadcasts 1-wide targets against 3 outputs, and argmax takes any width
+        arch = net.Architecture([2, 3])
+        ds = LabeledDataset(inputs=np.zeros((4, 2)), targets=np.zeros((4, n_out)))
+        with pytest.raises(ShapeError,
+                           match=f"dataset has {n_out} target columns, architecture has 3 outputs"):
+            evaluate([np.zeros((3, 3))], arch, ds, metric)
 
 
 SECOND_EVALUATE_FAULTS = """

@@ -1,5 +1,9 @@
 import functools
+import sys
 import threading
+import time
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,6 +20,23 @@ from rsgdlab.surface import (bilinear_interpolate,
 
 def random_corners(arch, seed=0):
     return [net.init_params(arch, RngStream(seed + i, "weight-init")) for i in range(4)]
+
+
+def record_points(monkeypatch):
+    """Each scanned point's layer-1 pre-activation and weights as bytes, and its thread.
+
+    Bytes, because a one-ulp difference there need not reach the error a
+    point reports.
+    """
+    inputs, threads = [], set()
+
+    def recording_evaluate(params, arch, dataset, metric, layer1):
+        inputs.append(b"".join(a.tobytes() for a in (layer1, *params)))
+        threads.add(threading.get_ident())
+        return evaluate(params, arch, dataset, metric, layer1=layer1)
+
+    monkeypatch.setattr(surface, "evaluate", recording_evaluate)
+    return inputs, threads
 
 
 @pytest.fixture
@@ -126,11 +147,24 @@ class TestScanSurface:
                 layer1, = bilinear_interpolate(products, alpha, beta)
                 assert grid.values[i, j] == evaluate(params, arch, ds, "mse", layer1=layer1)
 
-    def test_dataset_width_mismatch_rejected(self, small_setup):
+    @pytest.mark.parametrize("n_in, n_out, message", [
+        (4, 2, "dataset has 4 inputs, architecture expects 3"),
+        (3, 1, "dataset has 1 target columns, architecture has 2 outputs"),
+        (3, 5, "dataset has 5 target columns, architecture has 2 outputs"),
+    ])
+    @pytest.mark.parametrize("metric", ["mse", "classification_error"])
+    def test_dataset_width_mismatch_rejected_before_any_product(self, monkeypatch, small_setup,
+                                                                n_in, n_out, message, metric):
         arch, corners, _ = small_setup
-        ds = LabeledDataset(inputs=np.zeros((5, 4)), targets=np.zeros((5, 2)))
-        with pytest.raises(ShapeError):
-            scan_surface(corners, 2, arch, ds)
+
+        def no_product(*_, **__):
+            raise AssertionError("a product was computed")
+
+        monkeypatch.setattr(net, "preactivation", no_product)
+        monkeypatch.setattr(surface, "evaluate", no_product)
+        ds = LabeledDataset(inputs=np.zeros((5, n_in)), targets=np.zeros((5, n_out)))
+        with pytest.raises(ShapeError, match=message):
+            scan_surface(corners, 2, arch, ds, metric)
 
     def test_resolution_below_two_rejected(self, small_setup):
         arch, corners, ds = small_setup
@@ -207,16 +241,7 @@ class TestParallelScan:
         labels = rng.integers(0, widths[-1], 2500)  # 2500: evaluate runs two chunks
         ds = LabeledDataset(inputs=rng.standard_normal((2500, widths[0])),
                             targets=np.eye(widths[-1])[labels])
-        # each point's layer-1 pre-activation and weights, bytewise: a one-ulp
-        # difference there need not reach the error a point reports
-        inputs, threads = [], set()
-
-        def recording_evaluate(params, arch, dataset, metric, layer1):
-            inputs.append(b"".join(a.tobytes() for a in (layer1, *params)))
-            threads.add(threading.get_ident())
-            return evaluate(params, arch, dataset, metric, layer1=layer1)
-
-        monkeypatch.setattr(surface, "evaluate", recording_evaluate)
+        inputs, threads = record_points(monkeypatch)
         grids, seen = {}, {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(core, "blas_free_threads", lambda: workers)
@@ -230,12 +255,89 @@ class TestParallelScan:
                 assert threading.get_ident() not in threads
                 assert len(threads) <= min(workers, resolution)
         assert np.array_equal(grids[2], grids[1]) and np.array_equal(grids[3], grids[1])
-        # a row's points finish in any order on threads, and rows in order
+        # on threads, points finish in any order, and one row's overlap the next's
         for workers in (2, 3):
-            for i in range(resolution):
-                row = slice(i * resolution, (i + 1) * resolution)
-                assert sorted(seen[workers][row]) == sorted(seen[1][row])
+            assert sorted(seen[workers]) == sorted(seen[1])
         assert len(seen[1]) == resolution ** 2 and np.isfinite(grids[1]).all()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_next_rows_alpha_part_waits_for_every_point_of_the_row(self, monkeypatch, workers):
+        # A point's blend sleeps on a worker, so row i + 1's alpha part, written
+        # into the same top and bottom on the calling thread, would reach row
+        # i's points if it did not wait for them.
+        arch = net.Architecture([5, 20, 4, 3])
+        corners = random_corners(arch, seed=4)
+        rng = np.random.default_rng(6)
+        ds = LabeledDataset(inputs=rng.standard_normal((50, 5)), targets=rng.random((50, 3)))
+        caller, blend = threading.get_ident(), surface.blend
+
+        def slow_off_the_caller(*args):
+            if threading.get_ident() != caller:
+                time.sleep(0.01)
+            return blend(*args)
+
+        monkeypatch.setattr(surface, "blend", slow_off_the_caller)
+        inputs, threads = record_points(monkeypatch)
+        seen = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as it allows
+        try:
+            for count in (1, workers):
+                monkeypatch.setattr(core, "blas_free_threads", lambda: count)
+                inputs.clear()
+                scan_surface(corners, 5, arch, ds, "mse")
+                seen[count] = sorted(inputs)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(threads) > 1 and seen[workers] == seen[1]
+
+    def test_a_point_that_fails_on_a_worker_raises_and_does_not_hang(self, monkeypatch,
+                                                                     small_setup):
+        arch, corners, ds = small_setup
+        monkeypatch.setattr(core, "blas_free_threads", lambda: 2)
+        blend, scanned, caller = surface.blend, Future(), []
+
+        def failing_off_the_caller(*args):
+            if threading.get_ident() != caller[0]:
+                raise RuntimeError("blend failed")
+            return blend(*args)
+
+        def scan():
+            caller.append(threading.get_ident())
+            try:
+                scanned.set_result(scan_surface(corners, 5, arch, ds, "mse"))
+            except BaseException as exc:
+                scanned.set_exception(exc)
+
+        monkeypatch.setattr(surface, "blend", failing_off_the_caller)
+        # a daemon thread, so that a hung scan cannot hold the test process open
+        threading.Thread(target=scan, daemon=True).start()
+        with pytest.raises(RuntimeError, match="blend failed"):
+            scanned.result(timeout=30)
+
+    def test_memory_is_bounded_by_the_problem_not_the_resolution(self, monkeypatch):
+        arch = net.Architecture([100, 400, 200, 10])
+        corners = random_corners(arch)
+        rng = np.random.default_rng(0)
+        n = 200
+        ds = LabeledDataset(inputs=rng.standard_normal((n, 100)), targets=rng.random((n, 10)))
+        workers = 2
+        monkeypatch.setattr(core, "blas_free_threads", lambda: workers)
+        peaks = []
+        for resolution in (11, 41):
+            tracemalloc.start()
+            try:
+                scan_surface(corners, resolution, arch, ds, "mse")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a Future per point would add about 1 MB at resolution 41
+        assert abs(peaks[1] - peaks[0]) <= 0.5e6
+        layer1, layer2 = 8 * 400 * n, 8 * 200 * n
+        weights = sum(w.nbytes for w in corners[0][1:])  # a point's interpolated tail
+        # the corner products and one top/bottom pair, then what each worker's point holds
+        bound = 6 * layer1 + workers * (layer1 + layer2 + weights) + 2 ** 20
+        assert max(peaks) <= bound
 
     def test_wrapped_evaluate_runs_on_the_calling_thread(self, monkeypatch, small_setup):
         # a tracer's wrapper, such as the benchmark's span recorder, need not be thread-safe
