@@ -22,8 +22,8 @@ from . import network as net
 from . import optim
 from . import surface as surface_mod
 from .core import RngStream
-from .experiment import (OPTIMIZERS, DivergenceError, TrainConfig, _open_csv, evaluate,
-                         run_suite, train, write_aggregate_csv, write_metrics_csv)
+from .experiment import (OPTIMIZERS, DivergenceError, TrainConfig, evaluate, run_suite, train,
+                         write_aggregate_csv, write_csv, write_metrics_csv)
 
 
 class UsageError(Exception):
@@ -244,7 +244,11 @@ def _load_eval_dataset(opts):
 def _cmd_eval(args) -> int:
     opts, _ = _prepare(args)
     arch, params = net.load_checkpoint(args.checkpoint)
-    print(evaluate(params, arch, _load_eval_dataset(opts), _metric(opts)))
+    error = evaluate(params, arch, _load_eval_dataset(opts), _metric(opts))
+    print(error)
+    if not np.isfinite(error):
+        print("# warning: the error is not finite", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -270,10 +274,8 @@ def _cmd_scan_surface(args) -> int:
 def _cmd_analyze_memory(args) -> int:
     opts, schedule = _prepare(args, _build_schedule)
     pmf = optim.memory_length_pmf(schedule, args.t)
-    with _open_csv(opts["out"] or sys.stdout) as out:
-        out.write("length,probability\n")
-        for length, prob in enumerate(pmf):
-            out.write(f"{length},{float(prob)!r}\n")
+    write_csv(opts["out"] or sys.stdout, ["length", "probability"],
+              ([length, repr(float(prob))] for length, prob in enumerate(pmf)))
     if args.simulate:
         empirical = optim.simulate_memory_length(schedule, args.t, args.simulate,
                                                  RngStream(opts["seed"], "reinforcement"))
@@ -340,7 +342,9 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # argv[0] is the subcommand; its own flags come last and so win
             args = parser.parse_args(argv[:1] + _config_flags(args.config, args.keys) + argv[1:])
-        return args.func(args)
+        # a non-finite result is reported by the subcommand itself, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

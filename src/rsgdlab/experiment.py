@@ -8,11 +8,11 @@ reinforcement coins live on their own stream).
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -143,8 +143,7 @@ def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
         h1 = None if layer1 is None else layer1[:, start:start + EVAL_CHUNK]
         y = net.forward(params, arch, x, h1).output
         if metric == "mse":
-            eps = y_true - y
-            total += 0.5 * float(np.sum(eps * eps))
+            total += net.loss(y, y_true, "quadratic")
         else:
             total += float(np.count_nonzero(np.argmax(y, axis=0) != np.argmax(y_true, axis=0)))
     return total / n
@@ -216,10 +215,9 @@ def train(config: TrainConfig,
     def score(params):
         """Train and test error of ``params``, and the seconds they took."""
         started = time.perf_counter()
-        with np.errstate(**errors):  # numpy's error state is per thread
-            return (evaluate(params, arch, train_set, config.metric),
-                    evaluate(params, arch, test_set, config.metric),
-                    time.perf_counter() - started)
+        return (evaluate(params, arch, train_set, config.metric),
+                evaluate(params, arch, test_set, config.metric),
+                time.perf_counter() - started)
 
     def log(epoch, eta, gamma, train_s, scored, diverged=False):
         """Append the epoch's record once its score is in; DivergenceError if it diverged."""
@@ -230,10 +228,10 @@ def train(config: TrainConfig,
         if epoch and (diverged or not (np.isfinite(train_error) and np.isfinite(test_error))):
             raise DivergenceError(f"non-finite loss or weights at epoch {epoch}", history)
 
-    # a non-finite loss or weight raises DivergenceError, so numpy need not warn of it
+    # a non-finite loss or weight raises DivergenceError, so numpy need not warn of it;
+    # numpy's error state is per thread, so the pool's thread starts with this one's
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-            ThreadPoolExecutor(1) as pool:
-        errors = np.geterr()
+            ThreadPoolExecutor(1, initializer=partial(np.seterr, **np.geterr())) as pool:
         # Epoch e is scored on the pool's thread while epoch e + 1 trains on this
         # one.  Each step binds params to new arrays, so the ones being scored
         # are never written.
@@ -255,12 +253,11 @@ def train(config: TrainConfig,
             eta = max(eta * config.beta ** epoch, config.eta_floor)
 
             log(*pending)  # the previous epoch's record comes first, as does its divergence
-            trained = (epoch, eta, gamma_logged, train_s)
+            pending = (epoch, eta, gamma_logged, train_s, submit(score, params))
             if not all(np.isfinite(w).all() for w in params):
-                log(*trained, _now(score, params), diverged=True)
+                log(*pending, diverged=True)
             if epoch in config.checkpoint_epochs:
                 checkpoints[epoch] = [w.copy() for w in params]
-            pending = (*trained, submit(score, params))
         log(*pending)
 
     return TrainResult(config=config, history=history, params=params,
@@ -315,29 +312,23 @@ def _suite_task(task):
         return cid, None
 
 
-@contextlib.contextmanager
-def _open_csv(dest):
-    """Yield ``dest`` if it is an open file, else a new file at that path, closed after."""
-    if hasattr(dest, "write"):
-        yield dest
-    else:
+def write_csv(dest, header, rows) -> None:
+    """``header`` and ``rows`` as CSV with LF line ends, to ``dest``: an open file or a path."""
+    if not hasattr(dest, "write"):
         with open(dest, "w", newline="") as f:
-            yield f
+            return write_csv(f, header, rows)
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_metrics_csv(dest, history: list[MetricsRecord]) -> None:
-    with _open_csv(dest) as f:
-        writer = csv.writer(f)
-        writer.writerow(METRICS_CSV_HEADER)
-        for r in history:
-            writer.writerow([r.epoch, repr(r.train_error), repr(r.test_error),
-                             repr(r.eta), repr(r.gamma), f"{r.wall_time_s:.6f}"])
+    write_csv(dest, METRICS_CSV_HEADER,
+              ([r.epoch, repr(r.train_error), repr(r.test_error),
+                repr(r.eta), repr(r.gamma), f"{r.wall_time_s:.6f}"] for r in history))
 
 
 def write_aggregate_csv(dest, rows: list[SuiteRow]) -> None:
-    with _open_csv(dest) as f:
-        writer = csv.writer(f)
-        writer.writerow(AGGREGATE_CSV_HEADER)
-        for r in rows:
-            writer.writerow([r.config_id, repr(r.metric_mean), repr(r.metric_std),
-                             r.n_runs, r.n_diverged])
+    write_csv(dest, AGGREGATE_CSV_HEADER,
+              ([r.config_id, repr(r.metric_mean), repr(r.metric_std), r.n_runs, r.n_diverged]
+               for r in rows))

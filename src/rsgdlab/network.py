@@ -86,10 +86,6 @@ class Architecture:
         self.output_activation = OUTPUT_OF_LOSS[self.loss]
 
     @property
-    def n_layers(self) -> int:
-        return len(self.widths)
-
-    @property
     def n_in(self) -> int:
         return self.widths[0]
 
@@ -138,10 +134,9 @@ def forward(params: list[Matrix], arch: Architecture, x: Matrix,
     """States of every layer for input x.
 
     ``layer1``, when given, is the first layer's pre-activation for x,
-    already computed by the caller; params[0] is then not applied, and each
+    already computed by the caller; params[0] is then not applied.  Each
     activation overwrites its pre-activation, layer1 included, so that the
-    pass holds one buffer per layer.  Without layer1, each activation gets a
-    buffer of its own.
+    pass holds one buffer per layer.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != arch.n_in:
@@ -158,7 +153,7 @@ def forward(params: list[Matrix], arch: Architecture, x: Matrix,
         else:
             h = preactivation(w, states[-1])
         kind = arch.output_activation if k == last else arch.hidden_activation
-        states.append(activation(h, kind, out=None if layer1 is None else h))
+        states.append(activation(h, kind, out=h))
     return ForwardTrace(states=states)
 
 
@@ -224,7 +219,7 @@ def save_checkpoint(path, arch: Architecture, params: list[Matrix]) -> None:
     check_params(arch, params)
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(np.array([_VERSION, arch.n_layers, *arch.widths], "<u4"))
+        f.write(np.array([_VERSION, len(arch.widths), *arch.widths], "<u4"))
         f.write(np.array([_ACT_CODES[arch.hidden_activation],
                           _ACT_CODES[arch.output_activation],
                           _LOSS_CODES[arch.loss], 1], "u1"))  # 1: the bias flag

@@ -9,7 +9,6 @@ applied matrix-wise, so the corners of the (alpha, beta) unit square map to
 
 from __future__ import annotations
 
-import csv
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from . import network as net
 from .core import ShapeError, threads_for
 from .data import LabeledDataset
-from .experiment import _now, _open_csv, check_widths, evaluate
+from .experiment import _now, check_widths, evaluate, write_csv
 
 
 @dataclass
@@ -101,28 +100,23 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     alphas = np.linspace(0.0, 1.0, resolution)
     betas = np.linspace(0.0, 1.0, resolution)
     values = np.empty((resolution, resolution))
-    errors = np.geterr()  # numpy's error state is per thread: the caller's holds on every one
     blended = threading.Semaphore(0)  # one release per point that is done with top and bottom
 
-    def corner(w):
-        with np.errstate(**errors):
-            return net.preactivation(w, x)
-
     def score(alpha, beta):
-        with np.errstate(**errors):
-            try:
-                # forward skips params[0] when layer1 is given, so layer 0 is not interpolated;
-                # the weights come first, so their temporaries are freed before layer1 exists
-                params = [corners[0][0], *bilinear_interpolate(tails, alpha, beta)]
-                layer1 = blend(np.empty_like(top), beta, top, bottom)
-            finally:
-                blended.release()
-            return evaluate(params, arch, dataset, metric, layer1=layer1)
+        try:
+            # forward skips params[0] when layer1 is given, so layer 0 is not interpolated;
+            # the weights come first, so their temporaries are freed before layer1 exists
+            params = [corners[0][0], *bilinear_interpolate(tails, alpha, beta)]
+            layer1 = blend(np.empty_like(top), beta, top, bottom)
+        finally:
+            blended.release()
+        return evaluate(params, arch, dataset, metric, layer1=layer1)
 
     workers = threads_for(evaluate, resolution)
-    with ThreadPoolExecutor(workers) as pool:
+    # numpy's error state is per thread: each of the pool's starts with the caller's
+    with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
         submit = pool.submit if workers > 1 else _now  # a pool starts no thread until used
-        h1, h2, h3, h4 = [f.result() for f in [submit(corner, c[0]) for c in corners]]
+        h1, h2, h3, h4 = [f.result() for f in [submit(net.preactivation, c[0], x) for c in corners]]
         top, bottom = np.empty_like(h1), np.empty_like(h1)
         pending = []
         try:
@@ -143,10 +137,6 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
 
 
 def write_surface_csv(dest, grid: InterpolationGrid) -> None:
-    with _open_csv(dest) as f:
-        writer = csv.writer(f)
-        writer.writerow(["alpha", "beta", "error"])
-        for i, alpha in enumerate(grid.alphas):
-            for j, beta in enumerate(grid.betas):
-                writer.writerow([repr(float(alpha)), repr(float(beta)),
-                                 repr(float(grid.values[i, j]))])
+    write_csv(dest, ["alpha", "beta", "error"],
+              ([repr(float(alpha)), repr(float(beta)), repr(float(grid.values[i, j]))]
+               for i, alpha in enumerate(grid.alphas) for j, beta in enumerate(grid.betas)))

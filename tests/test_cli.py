@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
-from rsgdlab import cli, optim
+from rsgdlab import cli, core, optim
 from rsgdlab import network as net
 from rsgdlab.cli import build_parser, main
 from rsgdlab.core import RngStream
@@ -306,6 +306,45 @@ class TestEvalAndSurface:
         assert err.strip().splitlines()[-1] == (
             "# warning: some grid points failed to evaluate (NaN markers)")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("layer", [0, 1])  # the layer-1 pre-activation, the weights
+    def test_scan_surface_on_infinite_corners_exits_2_without_a_warning(
+            self, trained, capsys, monkeypatch, layer, workers):
+        # inf and -inf in two corners' weights: inf - inf and 0 * inf in the blend, on
+        # the pool's threads too; a numpy warning is an error under this suite's filterwarnings
+        tmp_path, data_dir, out = trained
+        monkeypatch.setattr(core, "blas_free_threads", lambda: workers)
+        ckpts = [out / f"epoch_{e:04d}.ckpt" for e in range(4)]
+        for i, value in enumerate([np.inf, -np.inf]):
+            arch, params = net.load_checkpoint(ckpts[i])
+            params[layer][0, 0] = value
+            ckpts[i] = tmp_path / f"{value}.ckpt"
+            net.save_checkpoint(ckpts[i], arch, params)
+        code, stdout, err = run_cli(capsys, "scan-surface",
+                                    "--checkpoints", ",".join(map(str, ckpts)),
+                                    "--resolution", "3", "--data-test", str(data_dir / "test.bin"))
+        assert code == 2
+        assert len(stdout.strip().splitlines()) == 1 + 9
+        assert "Warning" not in err
+        lines = err.strip().splitlines()
+        assert lines[-1] == "# warning: some grid points failed to evaluate (NaN markers)"
+        assert sum(line.startswith("# warning:") for line in lines) == 1
+
+    def test_eval_of_infinite_weights_exits_2_without_a_warning(self, trained, capsys):
+        # inf - inf in every output's pre-activation, whose inputs are sigmoid states
+        tmp_path, data_dir, out = trained
+        arch, params = net.load_checkpoint(out / "final.ckpt")
+        params[-1][0, :2] = np.inf, -np.inf
+        net.save_checkpoint(tmp_path / "inf.ckpt", arch, params)
+        code, stdout, err = run_cli(capsys, "eval", "--checkpoint", str(tmp_path / "inf.ckpt"),
+                                    "--data-test", str(data_dir / "test.bin"))
+        assert code == 2
+        assert np.isnan(float(stdout))
+        assert "Warning" not in err
+        lines = err.strip().splitlines()
+        assert lines[-1] == "# warning: the error is not finite"
+        assert sum(line.startswith("# warning:") for line in lines) == 1
+
     @pytest.mark.parametrize("field, value", [("hidden_activation", "relu"),
                                               ("loss", "cross_entropy")])
     def test_scan_surface_rejects_a_different_architecture(self, trained, capsys, field, value):
@@ -564,6 +603,42 @@ class TestNumericContract:
         assert code in (0, 1, 2)
         assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
         assert "Traceback" not in err and "Warning" not in err
+
+
+# each table a subcommand writes: its run on tiny data, and its file under --out
+# ("" where --out names the file itself)
+TABLE_RUNS = {
+    "train": (TINY, "metrics.csv"),
+    "suite": ([*TINY, "--runs", "2"], "aggregate.csv"),
+    "scan-surface": (CONTRACT_RUNS["scan-surface"], ""),
+    "analyze-memory": (["--t", "5"], ""),
+}
+
+
+class TestCsvLineEnds:
+    """Every table ends each of its lines in LF alone, in its file and on stdout."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        run = tmp_path_factory.mktemp("run")
+        assert main(["gen-data", "--n-in", "3", "--n-out", "2", "--count", "20",
+                     "--out", str(run)]) == 0
+        assert main(["train", *TINY, "--epochs", "3", "--checkpoint-epochs", "0,1,2,3",
+                     "--data-train", str(run / "train.bin"),
+                     "--data-test", str(run / "test.bin"), "--out", str(run)]) == 0
+        return run
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    @pytest.mark.parametrize("command", list(TABLE_RUNS))
+    def test_every_line_ends_in_lf(self, tmp_path, run, capsys, command, to_file):
+        argv, table = TABLE_RUNS[command]
+        argv = [a.format(run=run) for a in argv]
+        out = tmp_path / "out"
+        code, stdout, _ = run_cli(capsys, command, *argv, *(["--out", str(out)] * to_file))
+        assert code == 0
+        text = (out / table).read_bytes().decode() if to_file else stdout
+        assert len(text.splitlines()) >= 2
+        assert text.endswith("\n") and "\r" not in text
 
 
 class TestConfigParsing:

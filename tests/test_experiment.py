@@ -340,7 +340,7 @@ class TestPipelinedScoring:
             assert all(a.tobytes() == b.tobytes()
                        for a, b in zip(params, pipelined.checkpoints[epoch]))
 
-    # eta0=inf: the weights diverge, and the epoch is scored on the calling thread;
+    # eta0=inf: the weights diverge, and the epoch is scored where every epoch is;
     # a test target of 1e300: the test error overflows on the worker thread, and
     # numpy's overflow warning is an error under this suite's filterwarnings
     @pytest.mark.parametrize("overrides, datasets", [
