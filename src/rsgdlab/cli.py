@@ -223,7 +223,7 @@ def _cmd_suite(args) -> int:
     optimizers = [o.strip() for o in args.optimizers.split(",")] if args.optimizers else None
     opts, configs = _prepare(args, lambda o: {name: _build_train_config(dict(o, optimizer=name))
                                               for name in optimizers or [o["optimizer"]]})
-    rows = run_suite(configs, n_runs=args.runs, jobs=args.jobs)
+    rows = run_suite(configs, n_runs=args.runs)
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
         write_aggregate_csv(os.path.join(opts["out"], "aggregate.csv"), rows)
@@ -310,7 +310,6 @@ def build_parser() -> _Parser:
     _add_options(p, SUITE_KEYS)
     p.add_argument("--optimizers", help="comma-separated optimizer list")
     p.add_argument("--runs", type=at_least(1), default=5)
-    p.add_argument("--jobs", type=at_least(1), default=1)
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -1,4 +1,4 @@
-"""Shared types, checked array reads, and labeled, reproducible random streams.
+"""Shared types, checked array reads, worker pools, and labeled, reproducible random streams.
 
 All numerical state in this package is float64 numpy arrays.  Randomness is
 funneled through :class:`RngStream` so that every consumer (weight init, data
@@ -14,6 +14,9 @@ import copy
 import math
 import os
 import zlib
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -88,6 +91,33 @@ def threads_for(fn, limit: int) -> int:
     called on the calling thread only, so this is 1.
     """
     return 1 if hasattr(fn, "__wrapped__") else min(blas_free_threads(), limit)
+
+
+def _now(fn, *args) -> Future:
+    """``fn(*args)``, called on the calling thread, as a finished Future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+@contextmanager
+def submitter(workers: int, executor=ThreadPoolExecutor):
+    """``submit(fn, *args) -> Future``, running ``fn`` on ``workers`` workers of ``executor``.
+
+    With one worker, ``fn`` runs at once on the calling thread, so no worker
+    starts.  Otherwise each worker starts with the caller's numpy error state
+    (numpy's is per thread), and the calls still queued are cancelled if the
+    block raises.
+    """
+    if workers == 1:
+        yield _now
+        return
+    with executor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
+        try:
+            yield pool.submit
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _stream_key(stream_id: str) -> int:

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from . import data as data_mod
 from . import network as net
-from .core import RngStream, ShapeError, threads_for
+from .core import RngStream, ShapeError, submitter, threads_for
 from .optim import Adam, Nag, Rsgd, Schedule, Sgdm, VanillaSgd
 
 OPTIMIZERS = ("backprop", "rsgd", "sgdm", "nag", "adam")
@@ -144,8 +143,9 @@ def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
         y = net.forward(params, arch, x, h1).output
         if metric == "mse":
             total += net.loss(y, y_true, "quadratic")
-        else:
-            total += float(np.count_nonzero(np.argmax(y, axis=0) != np.argmax(y_true, axis=0)))
+        else:  # argmax would take a NaN output for the predicted class, so such a chunk is NaN
+            wrong = np.count_nonzero(np.argmax(y, axis=0) != np.argmax(y_true, axis=0))
+            total += float(wrong) if np.isfinite(y).all() else np.nan
     return total / n
 
 
@@ -180,13 +180,6 @@ def _make_optimizer(config: TrainConfig, params):
     return Adam(params)
 
 
-def _now(fn, *args) -> Future:
-    """``fn(*args)``, called on the calling thread, as a finished Future."""
-    future = Future()
-    future.set_result(fn(*args))
-    return future
-
-
 def train(config: TrainConfig,
           datasets: tuple[data_mod.LabeledDataset, data_mod.LabeledDataset] | None = None,
           ) -> TrainResult:
@@ -212,31 +205,26 @@ def train(config: TrainConfig,
         checkpoints[0] = [w.copy() for w in params]
     history: list[MetricsRecord] = []
 
-    def score(params):
-        """Train and test error of ``params``, and the seconds they took."""
+    def record(epoch, eta, gamma, train_s, params):
+        """The epoch's MetricsRecord: ``params``' train and test error, and the seconds spent."""
         started = time.perf_counter()
-        return (evaluate(params, arch, train_set, config.metric),
-                evaluate(params, arch, test_set, config.metric),
-                time.perf_counter() - started)
+        errors = [evaluate(params, arch, dataset, config.metric) for dataset in datasets]
+        return MetricsRecord(epoch, *errors, eta, gamma, train_s + (time.perf_counter() - started))
 
-    def log(epoch, eta, gamma, train_s, scored, diverged=False):
-        """Append the epoch's record once its score is in; DivergenceError if it diverged."""
-        train_error, test_error, score_s = scored.result()
-        history.append(MetricsRecord(epoch=epoch, train_error=train_error,
-                                     test_error=test_error, eta=eta, gamma=gamma,
-                                     wall_time_s=train_s + score_s))
-        if epoch and (diverged or not (np.isfinite(train_error) and np.isfinite(test_error))):
-            raise DivergenceError(f"non-finite loss or weights at epoch {epoch}", history)
+    def log(future, diverged=False):
+        """Append the epoch's record once it is in; DivergenceError if it diverged."""
+        r = future.result()
+        history.append(r)
+        if r.epoch and (diverged or not (np.isfinite(r.train_error) and np.isfinite(r.test_error))):
+            raise DivergenceError(f"non-finite loss or weights at epoch {r.epoch}", history)
 
-    # a non-finite loss or weight raises DivergenceError, so numpy need not warn of it;
-    # numpy's error state is per thread, so the pool's thread starts with this one's
+    # a non-finite loss or weight raises DivergenceError, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-            ThreadPoolExecutor(1, initializer=partial(np.seterr, **np.geterr())) as pool:
-        # Epoch e is scored on the pool's thread while epoch e + 1 trains on this
-        # one.  Each step binds params to new arrays, so the ones being scored
-        # are never written.
-        submit = pool.submit if threads_for(evaluate, 2) > 1 else _now
-        pending = (0, eta, gamma_now(0, 0), 0.0, submit(score, params))
+            submitter(threads_for(evaluate, 2)) as submit:
+        # With two threads, epoch e is scored on a worker while epoch e + 1 trains
+        # on this one.  Each step binds params to new arrays, so the ones being
+        # scored are never written.
+        pending = submit(record, 0, eta, gamma_now(0, 0), 0.0, params)
         for epoch in range(1, config.epochs + 1):
             started = time.perf_counter()
             t_ep = epoch - 1  # completed epochs while this one runs
@@ -252,13 +240,13 @@ def train(config: TrainConfig,
             # epoch-boundary refresh: eta compounds by beta^epoch, floored
             eta = max(eta * config.beta ** epoch, config.eta_floor)
 
-            log(*pending)  # the previous epoch's record comes first, as does its divergence
-            pending = (epoch, eta, gamma_logged, train_s, submit(score, params))
+            log(pending)  # the previous epoch's record comes first, as does its divergence
+            pending = submit(record, epoch, eta, gamma_logged, train_s, params)
             if not all(np.isfinite(w).all() for w in params):
-                log(*pending, diverged=True)
+                log(pending, diverged=True)
             if epoch in config.checkpoint_epochs:
                 checkpoints[epoch] = [w.copy() for w in params]
-        log(*pending)
+        log(pending)
 
     return TrainResult(config=config, history=history, params=params,
                        checkpoints=checkpoints,
@@ -274,21 +262,16 @@ class SuiteRow:
     n_diverged: int
 
 
-def run_suite(configs: dict[str, TrainConfig], n_runs: int,
-              jobs: int = 1) -> list[SuiteRow]:
+def run_suite(configs: dict[str, TrainConfig], n_runs: int) -> list[SuiteRow]:
     """Run each config n_runs times with seeds base+0..base+n-1, paired across configs."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     tasks = [(cid, replace(cfg, seed=cfg.seed + i))
              for cid, cfg in configs.items() for i in range(n_runs)]
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        # capped at the task count: under fork every worker starts at once
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_suite_task, tasks))
-    else:
-        outcomes = list(map(_suite_task, tasks))
+    # processes: BLAS calls made side by side in one process may split differently;
+    # concurrent.futures imports multiprocessing only once ProcessPoolExecutor is read
+    with submitter(threads_for(_suite_task, len(tasks)), futures.ProcessPoolExecutor) as submit:
+        outcomes = [f.result() for f in [submit(_suite_task, task) for task in tasks]]
 
     rows = []
     for cid in configs:

@@ -19,13 +19,11 @@ optimizers never perturbs initialization or data order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .core import Matrix, RngStream, ShapeError, usable_cpus
+from .core import Matrix, RngStream, ShapeError, submitter, usable_cpus
 
 
 # --- reinforcement probability schedules ---------------------------------
@@ -238,11 +236,12 @@ def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
 
     The runs are cut at block boundaries into one contiguous part per usable
     CPU (at most one per block, and at most ``SIM_BLOCK // t``), and the parts
-    are histogrammed on threads.  Each part draws from its own stretch of
-    ``rng`` (:meth:`RngStream.split`) row by row, so the coins, the histogram
-    and ``rng``'s state afterwards equal those of one ``(n_runs, t)`` draw,
-    whatever the number of CPUs.  Blocks hold about ``SIM_BLOCK`` coins across
-    all parts together, so memory is O(SIM_BLOCK + t) whatever ``n_runs`` is.
+    are histogrammed on threads (one part on the calling thread).  Each part
+    draws from its own stretch of ``rng`` (:meth:`RngStream.split`) row by
+    row, so the coins, the histogram and ``rng``'s state afterwards equal
+    those of one ``(n_runs, t)`` draw, whatever the number of CPUs.  Blocks
+    hold about ``SIM_BLOCK`` coins across all parts together, so memory is
+    O(SIM_BLOCK + t) whatever ``n_runs`` is.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -257,8 +256,9 @@ def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
     edges = [min(n_runs, rows * (j * blocks // n_parts)) for j in range(n_parts + 1)]
     runs = [b - a for a, b in zip(edges, edges[1:])]
     gens = rng.split([r * t for r in runs])
-    with ThreadPoolExecutor(n_parts) as pool:
-        counts = sum(pool.map(_trailing_run_counts, gens, repeat(probs), runs, repeat(rows)))
+    with submitter(n_parts) as submit:
+        counts = sum(f.result() for f in [submit(_trailing_run_counts, gen, probs, r, rows)
+                                          for gen, r in zip(gens, runs)])
     return counts / n_runs
 
 

@@ -10,16 +10,15 @@ applied matrix-wise, so the corners of the (alpha, beta) unit square map to
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import network as net
-from .core import ShapeError, threads_for
+from .core import ShapeError, submitter, threads_for
 from .data import LabeledDataset
-from .experiment import _now, check_widths, evaluate, write_csv
+from .experiment import check_widths, evaluate, write_csv
 
 
 @dataclass
@@ -112,27 +111,20 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
             blended.release()
         return evaluate(params, arch, dataset, metric, layer1=layer1)
 
-    workers = threads_for(evaluate, resolution)
-    # numpy's error state is per thread: each of the pool's starts with the caller's
-    with ThreadPoolExecutor(workers, initializer=partial(np.seterr, **np.geterr())) as pool:
-        submit = pool.submit if workers > 1 else _now  # a pool starts no thread until used
+    with submitter(threads_for(evaluate, resolution)) as submit:
         h1, h2, h3, h4 = [f.result() for f in [submit(net.preactivation, c[0], x) for c in corners]]
         top, bottom = np.empty_like(h1), np.empty_like(h1)
         pending = []
-        try:
-            for i, alpha in enumerate(alphas):
-                for _ in pending:  # every point of row i - 1 has read top and bottom
-                    blended.acquire()
-                blend(top, alpha, h1, h2)
-                blend(bottom, alpha, h3, h4)
-                row = list(map(partial(submit, score, alpha), betas))
-                if pending:
-                    values[i - 1] = [f.result() for f in pending]
-                pending = row
-            values[-1] = [f.result() for f in pending]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # the points still queued need not run
-            raise
+        for i, alpha in enumerate(alphas):
+            for _ in pending:  # every point of row i - 1 has read top and bottom
+                blended.acquire()
+            blend(top, alpha, h1, h2)
+            blend(bottom, alpha, h3, h4)
+            row = list(map(partial(submit, score, alpha), betas))
+            if pending:
+                values[i - 1] = [f.result() for f in pending]
+            pending = row
+        values[-1] = [f.result() for f in pending]
     return InterpolationGrid(alphas=alphas, betas=betas, values=values)
 
 

@@ -345,6 +345,37 @@ class TestEvalAndSurface:
         assert lines[-1] == "# warning: the error is not finite"
         assert sum(line.startswith("# warning:") for line in lines) == 1
 
+    def test_eval_classification_of_infinite_weights_exits_2(self, trained, capsys):
+        # inf - inf in output 0's pre-activation: a NaN output, which argmax would predict
+        tmp_path, data_dir, out = trained
+        arch, params = net.load_checkpoint(out / "final.ckpt")
+        params[-1][0, :2] = np.inf, -np.inf
+        net.save_checkpoint(tmp_path / "inf.ckpt", arch, params)
+        code, stdout, err = run_cli(capsys, "eval", "--checkpoint", str(tmp_path / "inf.ckpt"),
+                                    "--data-test", str(data_dir / "test.bin"),
+                                    "--metric", "classification")
+        assert code == 2
+        assert np.isnan(float(stdout))
+        assert "Warning" not in err
+        assert err.strip().splitlines()[-1] == "# warning: the error is not finite"
+
+    def test_scan_surface_classification_on_an_infinite_corner_exits_2(self, trained, capsys):
+        tmp_path, data_dir, out = trained
+        arch, params = net.load_checkpoint(out / "epoch_0003.ckpt")
+        params[-1][0, :2] = np.inf, -np.inf
+        net.save_checkpoint(tmp_path / "inf.ckpt", arch, params)
+        ckpts = [str(out / f"epoch_{e:04d}.ckpt") for e in (0, 1, 2)] + [str(tmp_path / "inf.ckpt")]
+        code, stdout, err = run_cli(capsys, "scan-surface",
+                                    "--checkpoints", ",".join(ckpts), "--resolution", "3",
+                                    "--metric", "classification",
+                                    "--data-test", str(data_dir / "test.bin"))
+        assert code == 2
+        errors = [float(line.split(",")[2]) for line in stdout.strip().splitlines()[1:]]
+        assert len(errors) == 9 and np.isnan(errors).any()
+        assert "Warning" not in err
+        assert err.strip().splitlines()[-1] == (
+            "# warning: some grid points failed to evaluate (NaN markers)")
+
     @pytest.mark.parametrize("field, value", [("hidden_activation", "relu"),
                                               ("loss", "cross_entropy")])
     def test_scan_surface_rejects_a_different_architecture(self, trained, capsys, field, value):
@@ -564,7 +595,7 @@ TRAIN_KEYS = ["seed", "gamma0", "lambda", "a0", "b0", "rho", "eta0", "beta", "et
 NUMERIC_KEYS = {
     "gen-data": ["n_in", "n_out", "count", "seed"],
     "train": [*TRAIN_KEYS, "checkpoint_epochs"],
-    "suite": [*TRAIN_KEYS, "runs", "jobs"],
+    "suite": [*TRAIN_KEYS, "runs"],
     "scan-surface": ["resolution"],
     "analyze-memory": ["seed", "gamma0", "a0", "b0", "t", "simulate"],
 }
@@ -691,8 +722,6 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("flag, argv", [
         ("--runs", ["suite", "--runs", "0"]),
-        ("--jobs", ["suite", "--jobs", "0"]),
-        ("--jobs", ["suite", "--jobs", "-3"]),
         ("--resolution", ["scan-surface", "--checkpoints", "a,b,c,d", "--resolution", "1"]),
         ("--t", ["analyze-memory", "--t", "-1"]),
         ("--simulate", ["analyze-memory", "--t", "5", "--simulate", "-5"]),
@@ -750,7 +779,7 @@ class TestStepSizes:
 
 
 @pytest.mark.parametrize("command, n_flags", [
-    ("gen-data", 5), ("train", 26), ("suite", 28), ("eval", 7), ("scan-surface", 9),
+    ("gen-data", 5), ("train", 26), ("suite", 27), ("eval", 7), ("scan-surface", 9),
     ("analyze-memory", 9),
 ])
 def test_flag_count(command, n_flags):

@@ -1,9 +1,12 @@
 import io
+import threading
 
 import numpy as np
 import pytest
 
-from rsgdlab.core import RngStream, read_array
+from rsgdlab import optim
+from rsgdlab.core import RngStream, read_array, submitter
+from rsgdlab.optim import PowerLawSchedule
 
 
 class TestGaussian:
@@ -110,3 +113,52 @@ class TestReadArray:
         with ShortReader(io.FileIO(path, "rb")) as f:
             with pytest.raises(ValueError, match="expected 16 more bytes, read 15"):
                 read_array(f, (2,), "<f8", path)
+
+
+class TestSubmitter:
+    def test_one_worker_runs_on_the_calling_thread(self):
+        before = threading.active_count()
+        with submitter(1) as submit:
+            future = submit(threading.get_ident)
+            assert future.done() and threading.active_count() == before
+        assert future.result() == threading.get_ident()
+
+    def test_workers_start_with_the_callers_error_state(self):
+        both = threading.Barrier(2)
+
+        def state():
+            both.wait(timeout=10)  # each call holds its own worker
+            return threading.get_ident(), np.geterr()
+
+        with np.errstate(over="ignore", invalid="raise", divide="ignore", under="warn"):
+            expected = np.geterr()
+            with submitter(2) as submit:
+                states = [f.result() for f in [submit(state), submit(state)]]
+        assert expected != np.geterr()
+        assert len({ident for ident, _ in states}) == 2
+        assert all(errors == expected for _, errors in states)
+
+    def test_a_raising_block_cancels_the_queued_calls(self):
+        release = threading.Event()
+        timer = threading.Timer(0.5, release.set)  # frees the workers, so nothing hangs
+        timer.start()
+        with pytest.raises(RuntimeError, match="stop"):
+            with submitter(2) as submit:
+                held = [submit(release.wait), submit(release.wait)]  # both workers busy
+                queued = submit(pytest.fail, "a queued call ran")
+                raise RuntimeError("stop")
+        timer.join()
+        assert queued.cancelled()
+        assert all(f.result() for f in held)
+
+    def test_one_cpu_simulates_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(optim, "usable_cpus", lambda: 1)
+        threads = []
+        count = optim._trailing_run_counts
+        monkeypatch.setattr(optim, "_trailing_run_counts",
+                            lambda *args: threads.append(threading.get_ident()) or count(*args))
+        before = threading.active_count()
+        optim.simulate_memory_length(PowerLawSchedule(1.0, 0.5), 40, 12345,
+                                     RngStream(0, "reinforcement"))
+        assert threads == [threading.get_ident()]
+        assert threading.active_count() == before

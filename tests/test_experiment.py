@@ -67,6 +67,19 @@ class TestEvaluate:
                             kind="classification", raw_labels=labels)
         assert evaluate(params, arch, ds, "classification_error") == pytest.approx(0.5)
 
+    def test_classification_error_of_non_finite_outputs_is_nan(self):
+        # inf - inf in output 0's pre-activation: a NaN output, which argmax would predict
+        arch = net.Architecture([4, 6, 3])
+        params = net.init_params(arch, RngStream(3, "weight-init"))
+        params[-1][0, :2] = np.inf, -np.inf
+        labels = np.arange(10) % 3
+        ds = LabeledDataset(inputs=np.random.default_rng(2).random((10, 4)),
+                            targets=one_hot(labels, 3), kind="classification",
+                            raw_labels=labels)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(evaluate(params, arch, ds, "mse"))
+            assert np.isnan(evaluate(params, arch, ds, "classification_error"))
+
     def test_argmax_ties_break_low(self):
         assert np.argmax(np.array([0.5, 0.5])) == 0
 
@@ -420,11 +433,15 @@ class TestSuite:
         write_aggregate_csv(tmp_path / "agg.csv", [row])
         assert (tmp_path / "agg.csv").read_text().splitlines()[1] == "bad,nan,nan,0,2"
 
-    def test_parallel_matches_serial_bit_for_bit(self):
+    def test_parallel_matches_serial_bit_for_bit(self, monkeypatch):
         configs = {"plain": toy_config(epochs=2),
                    "rsgd": toy_config(epochs=2, optimizer="rsgd",
                                       schedule=PowerLawSchedule(1.0, 0.5))}
-        assert run_suite(configs, n_runs=2, jobs=2) == run_suite(configs, n_runs=2, jobs=1)
+        rows = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(core, "blas_free_threads", lambda: workers)
+            rows[workers] = run_suite(configs, n_runs=2)
+        assert rows[2] == rows[1]
 
 
 class TestCsvWriters:
@@ -447,12 +464,13 @@ class TestCsvWriters:
 
 
 def test_suite_pool_capped_at_task_count(monkeypatch):
-    """A large jobs value asks the pool for one worker per task, no more."""
+    """Many free CPUs ask the pool for one worker per task, no more."""
     requested = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             requested.append(max_workers)
+            initializer()
 
         def __enter__(self):
             return self
@@ -460,11 +478,14 @@ def test_suite_pool_capped_at_task_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
+    monkeypatch.setattr(core, "blas_free_threads", lambda: 1000)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     configs = {"a": toy_config(epochs=1), "b": toy_config(epochs=1, eta0=0.3)}
-    rows = run_suite(configs, n_runs=2, jobs=1000)
+    rows = run_suite(configs, n_runs=2)
     assert requested == [4]
     assert [r.n_runs for r in rows] == [2, 2]
