@@ -1,8 +1,13 @@
 """Training laboratory for reinforced SGD and classical optimizer baselines."""
 
 import ctypes
+import os
+import sys
 
 __version__ = "0.1.0"
+
+# The variables OpenBLAS (numpy's BLAS) reads its thread count from, in its order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _set_heap_policy() -> None:
@@ -28,4 +33,15 @@ def _set_heap_policy() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX
 
 
+def _set_blas_threads() -> None:
+    """Give BLAS one thread, so the lab's pools get the CPUs and bits do not depend on them.
+
+    Not if the user set a BLAS variable, nor once numpy is loaded: OpenBLAS
+    has read the variables then, and ``core.blas_free_threads`` would be misled.
+    """
+    if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 _set_heap_policy()
+_set_blas_threads()

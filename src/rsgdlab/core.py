@@ -20,6 +20,8 @@ from functools import partial
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
+
 Matrix = np.ndarray
 
 
@@ -64,10 +66,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-# The variables OpenBLAS (numpy's BLAS) reads its thread count from, in its order.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def blas_free_threads() -> int:

@@ -109,32 +109,26 @@ def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
         return payload
 
 
-def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
-    """Parse the big-endian IDX pair; pixels scaled to [0,1], labels one-hot."""
+def read_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """The big-endian IDX pair's pixels, one row per image, and labels, both uint8."""
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     count, rows, cols = images.shape
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if len(labels) != count:
         raise IdxCountMismatchError(
             f"{images_path} has {count} images but {labels_path} has {len(labels)} labels")
-    return LabeledDataset(
-        inputs=images.reshape(count, rows * cols).astype(np.float64) / 255.0,
-        targets=one_hot(labels.astype(np.int64)),
-        kind="classification",
-        raw_labels=labels.astype(np.int64),
-    )
+    return images.reshape(count, rows * cols), labels
 
 
-def subsample(dataset: LabeledDataset, train_count: int, test_count: int,
-              rng: RngStream) -> tuple[LabeledDataset, LabeledDataset]:
-    """Disjoint uniform train/test subsets, deterministic per stream."""
-    total = train_count + test_count
-    if total > len(dataset):
-        raise ValueError(
-            f"need {total} examples ({train_count} train + {test_count} test), "
-            f"dataset has {len(dataset)}")
-    picked = rng.choice(len(dataset), size=total, replace=False)
-    return dataset.take(picked[:train_count]), dataset.take(picked[train_count:])
+def mnist_dataset(pixels: np.ndarray, labels: np.ndarray) -> LabeledDataset:
+    """uint8 ``pixels`` scaled to [0,1] and ``labels`` one-hot, as a classification set."""
+    return LabeledDataset(inputs=pixels / 255.0, targets=one_hot(labels),
+                          kind="classification", raw_labels=labels.astype(np.int64))
+
+
+def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
+    """Every example of the IDX pair, as :func:`mnist_dataset`."""
+    return mnist_dataset(*read_mnist_idx(images_path, labels_path))
 
 
 class BatchPlan:

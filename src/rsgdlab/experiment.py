@@ -23,6 +23,7 @@ from .optim import Adam, Nag, Rsgd, Schedule, Sgdm, VanillaSgd
 OPTIMIZERS = ("backprop", "rsgd", "sgdm", "nag", "adam")
 METRICS = ("mse", "classification_error")
 EVAL_CHUNK = 2000  # examples per forward pass in evaluate
+TARGET_SUM_TOL = 1e-6  # how far from 1 a cross-entropy target row may sum
 
 METRICS_CSV_HEADER = ["epoch", "train_error", "test_error", "eta", "gamma", "wall_time_s"]
 AGGREGATE_CSV_HEADER = ["config_id", "metric_mean", "metric_std", "n_runs", "n_diverged"]
@@ -123,6 +124,20 @@ def check_widths(arch: net.Architecture, dataset: data_mod.LabeledDataset) -> No
                          f"architecture has {arch.n_out} outputs")
 
 
+def check_targets(arch: net.Architecture, dataset: data_mod.LabeledDataset, where) -> None:
+    """``ValueError`` naming ``where`` if ``arch``'s loss is cross-entropy and a target row
+    has a negative entry or does not sum to 1: training on such targets diverges."""
+    if arch.loss != "cross_entropy":
+        return
+    t = dataset.targets
+    bad = (t < 0).any(axis=1) | ~(np.abs(t.sum(axis=1) - 1.0) <= TARGET_SUM_TOL)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{where}: loss cross_entropy needs targets that are distributions "
+                         f"(entries >= 0, summing to 1 within {TARGET_SUM_TOL}), but row {row} "
+                         f"has minimum {float(t[row].min())!r} and sum {float(t[row].sum())!r}")
+
+
 def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
              metric: str, layer1=None) -> float:
     """Mean error over a dataset; forward passes chunked to bound memory.
@@ -156,10 +171,15 @@ def build_datasets(config: TrainConfig) -> tuple[data_mod.LabeledDataset, data_m
         return data_mod.generate_teacher_dataset(
             config.architecture.n_in, config.architecture.n_out,
             2 * config.train_count, rng)
-    if source[0] == "mnist":
-        pool = data_mod.load_mnist_idx(source[1], source[2])
-        rng = RngStream(config.seed, "data-gen")
-        return data_mod.subsample(pool, config.train_count, config.test_count, rng)
+    if source[0] == "mnist":  # disjoint uniform train and test rows; only those are converted
+        pixels, labels = data_mod.read_mnist_idx(source[1], source[2])
+        n_train, n_test = config.train_count, config.test_count
+        if n_train + n_test > len(labels):
+            raise ValueError(f"need {n_train + n_test} examples ({n_train} train + {n_test} test), "
+                             f"dataset has {len(labels)}")
+        picked = RngStream(config.seed, "data-gen").choice(len(labels), n_train + n_test)
+        return tuple(data_mod.mnist_dataset(pixels[rows], labels[rows])
+                     for rows in (picked[:n_train], picked[n_train:]))
     sets = data_mod.load_dataset(source[1]), data_mod.load_dataset(source[2])
     for path, count, dataset in zip(source[1:], (config.train_count, config.test_count), sets):
         if count is not None and count != len(dataset):
@@ -185,11 +205,15 @@ def train(config: TrainConfig,
           ) -> TrainResult:
     """Run the full epoch loop; raises DivergenceError on non-finite state."""
     arch = config.architecture
+    where = "the train set given to train()"
     if datasets is None:
         datasets = build_datasets(config)
+        source = config.dataset_source
+        where = source[1] if source[0] == "files" else f"{source[0]} data"
     train_set, test_set = datasets
     for dataset in datasets:
         check_widths(arch, dataset)
+    check_targets(arch, train_set, where)
 
     params = net.init_params(arch, RngStream(config.seed, "weight-init"))
     optimizer = _make_optimizer(config, params)
@@ -201,8 +225,6 @@ def train(config: TrainConfig,
         return config.schedule.gamma(t, t_ep) if config.schedule is not None else 0.0
 
     checkpoints: dict[int, list[np.ndarray]] = {}
-    if 0 in config.checkpoint_epochs:
-        checkpoints[0] = [w.copy() for w in params]
     history: list[MetricsRecord] = []
 
     def record(epoch, eta, gamma, train_s, params):
@@ -222,18 +244,24 @@ def train(config: TrainConfig,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
             submitter(threads_for(evaluate, 2)) as submit:
         # With two threads, epoch e is scored on a worker while epoch e + 1 trains
-        # on this one.  Each step binds params to new arrays, so the ones being
-        # scored are never written.
-        pending = submit(record, 0, eta, gamma_now(0, 0), 0.0, params)
+        # on this one.  Each step adds into params, so the score gets a copy.
+        def score(epoch, eta, gamma, train_s):
+            snapshot = [w.copy() for w in params]
+            if epoch in config.checkpoint_epochs:
+                checkpoints[epoch] = snapshot
+            return submit(record, epoch, eta, gamma, train_s, snapshot)
+
+        pending = score(0, eta, gamma_now(0, 0), 0.0)
         for epoch in range(1, config.epochs + 1):
             started = time.perf_counter()
             t_ep = epoch - 1  # completed epochs while this one runs
             for idx in plan.epoch_batches():
                 x, y_true = train_set.inputs[idx].T, train_set.targets[idx].T
                 at = optimizer.lookahead(params, t_ep)
-                # the trace and the deltas stay unnamed, so neither outlives its statement
+                # the trace stays unnamed, so it does not outlive its statement
                 grads = net.backward(at, arch, net.forward(at, arch, x), y_true)
-                params = [w + d for w, d in zip(params, optimizer.step(grads, eta, t_ep=t_ep))]
+                for w, d in zip(params, optimizer.step(grads, eta, t_ep=t_ep)):
+                    w += d
             train_s = time.perf_counter() - started
 
             gamma_logged = gamma_now(optimizer.t, t_ep)
@@ -241,11 +269,9 @@ def train(config: TrainConfig,
             eta = max(eta * config.beta ** epoch, config.eta_floor)
 
             log(pending)  # the previous epoch's record comes first, as does its divergence
-            pending = submit(record, epoch, eta, gamma_logged, train_s, params)
+            pending = score(epoch, eta, gamma_logged, train_s)
             if not all(np.isfinite(w).all() for w in params):
                 log(pending, diverged=True)
-            if epoch in config.checkpoint_epochs:
-                checkpoints[epoch] = [w.copy() for w in params]
         log(pending)
 
     return TrainResult(config=config, history=history, params=params,

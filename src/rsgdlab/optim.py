@@ -4,15 +4,17 @@ Five update rules share one protocol: ``lookahead(params, t_ep)`` is the
 point where this step's gradient is taken (``params`` itself for all but
 Nesterov momentum), and ``step(grads, eta, t_ep)`` consumes the mini-batch
 gradient there (averaged over the batch) and returns the parameter delta to
-ADD to the weights.  The step counter ``t`` counts mini-batch updates since
-the start of training, never resetting at epoch boundaries; ``t_ep`` counts
-completed epochs and only matters for the exponential-gamma schedule.
+ADD to the weights; no later step writes into it.  The step counter ``t``
+counts mini-batch updates since the start of training, never resetting at
+epoch boundaries; ``t_ep`` counts completed epochs and only matters for the
+exponential-gamma schedule.
 
 Plain SGD, momentum and the reinforced rule are one recursion on a per-weight
-accumulator, a <- rho * a + g and delta = -eta * a (:class:`Sgdm`), differing
-only in rho: 0, a fixed or scheduled momentum, or a per-component coin that
-keeps the history with probability gamma(t) and otherwise resets it to the
-current gradient.  Coins come from a dedicated stream so that switching
+accumulator, a <- rho * a + g (in place) and delta = -eta * a (:class:`Sgdm`),
+differing only in rho: 0, a fixed or scheduled momentum, or a per-component
+coin that keeps the history with probability gamma(t) and otherwise resets it
+to the current gradient.  So they hold one accumulator per weight, where
+Adam holds two moments.  Coins come from a dedicated stream so that switching
 optimizers never perturbs initialization or data order.
 """
 
@@ -109,8 +111,9 @@ class Sgdm:
     def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
         _check_congruent(self.accumulated, grads)
         rho = self._rho_at(t_ep)
-        self.accumulated = [self._factor(rho, g.shape) * a + g
-                            for a, g in zip(self.accumulated, grads)]
+        for a, g in zip(self.accumulated, grads):  # in place, so no second accumulator
+            a *= self._factor(rho, g.shape)
+            a += g
         self.t += 1
         return [-eta * a for a in self.accumulated]
 

@@ -1,6 +1,7 @@
 import os
 import struct
 
+import rsgdlab  # noqa: F401  (first: it gives BLAS one thread only if numpy is not yet loaded)
 import numpy as np
 import pytest
 

@@ -9,13 +9,27 @@ from rsgdlab import cli, core, optim
 from rsgdlab import network as net
 from rsgdlab.cli import build_parser, main
 from rsgdlab.core import RngStream
-from rsgdlab.data import LabeledDataset, save_dataset
+from rsgdlab.data import LabeledDataset, one_hot, save_dataset
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def data_files(tmp_path, targets, n_in=4):
+    """--data-train and --data-test flags for two files that share ``targets``."""
+    rng = np.random.default_rng(0)
+    paths = [tmp_path / "train.bin", tmp_path / "test.bin"]
+    for path in paths:
+        save_dataset(path, LabeledDataset(rng.standard_normal((len(targets), n_in)), targets))
+    return ["--data-train", str(paths[0]), "--data-test", str(paths[1])]
+
+
+def one_hot_files(tmp_path):
+    """data_files for TOY with one-hot targets: a distribution per row, as cross-entropy needs."""
+    return data_files(tmp_path, one_hot(np.arange(50) % 3, 3))
 
 
 class TestGenData:
@@ -532,6 +546,38 @@ class TestExitCodes:
         self.assert_one_error(err)
         assert "training diverged" in err.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize("case", ["teacher", "gen-data", "negative-entry"])
+    def test_cross_entropy_refuses_targets_that_are_not_distributions(self, tmp_path, capsys,
+                                                                       case):
+        where, argv, row = "teacher data", [], 0
+        if case == "gen-data":  # sigmoid targets
+            run_cli(capsys, "gen-data", "--n-in", "4", "--n-out", "3", "--count", "100",
+                    "--out", str(tmp_path))
+            where = tmp_path / "train.bin"
+            argv = ["--data-train", str(where), "--data-test", str(tmp_path / "test.bin")]
+        elif case == "negative-entry":  # sums to 1, but is no distribution
+            targets = one_hot(np.arange(50) % 3, 3)
+            targets[7] = [1.5, -0.5, 0.0]
+            argv = data_files(tmp_path, targets)
+            where, row = tmp_path / "train.bin", 7
+        code, out, err = run_cli(capsys, "train", *TOY, *argv, "--loss", "cross-entropy")
+        assert (code, out) == (2, "")  # refused before the first step, so no metrics
+        self.assert_one_error(err)
+        line = err.strip().splitlines()[-1]
+        assert line.startswith(f"error: {where}: loss cross_entropy needs targets that are "
+                               f"distributions (entries >= 0, summing to 1 within 1e-06), "
+                               f"but row {row} has minimum ")
+
+    @pytest.mark.parametrize("targets", ["one-hot", "softmax"])
+    def test_cross_entropy_trains_on_distributions(self, tmp_path, capsys, targets):
+        if targets == "one-hot":
+            argv = one_hot_files(tmp_path)
+        else:
+            argv = data_files(tmp_path, net.softmax(np.random.default_rng(1).standard_normal(
+                (3, 50))).T.copy())
+        code, _, err = run_cli(capsys, "train", *TOY, *argv, "--loss", "cross-entropy")
+        assert code == 0, err
+
     @pytest.mark.parametrize("argv, name", [
         (["analyze-memory", "--schedule", "power_law", "--b0", "nan", "--t", "5"], "b0"),
         (["analyze-memory", "--schedule", "power_law", "--a0", "nan", "--t", "5"], "a0"),
@@ -706,7 +752,8 @@ class TestConfigParsing:
     def test_loss_spellings_in_file(self, tmp_path, capsys, spelling):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"loss = {spelling}\nmetric = classification\n")
-        code, _, err = run_cli(capsys, "train", *TOY, "--config", str(cfg))
+        code, _, err = run_cli(capsys, "train", *TOY, *one_hot_files(tmp_path),
+                               "--config", str(cfg))
         assert code == 0
         assert "# loss = cross_entropy" in err
 

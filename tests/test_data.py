@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
+from rsgdlab import network as net
 from rsgdlab.core import RngStream
 from rsgdlab.network import sigmoid
 from rsgdlab.data import (BatchPlan, IdxCountMismatchError, IdxMagicError,
                           IdxTruncatedError, LabeledDataset,
                           generate_teacher_dataset, load_dataset,
-                          load_mnist_idx, one_hot, save_dataset, subsample)
+                          load_mnist_idx, one_hot, save_dataset)
+from rsgdlab.experiment import TrainConfig, build_datasets
 
 
 class TestTeacherDataset:
@@ -121,33 +123,74 @@ class TestIdxLoader:
             load_mnist_idx(images, labels3)
 
 
-class TestSubsample:
-    def _pool(self, n=600):
+def mnist_config(images, labels, seed):
+    """A 100 + 20 example run on an IDX pair of 2 x 2 images."""
+    return TrainConfig(net.Architecture([4, 10]), batch_size=10, epochs=1, train_count=100,
+                       test_count=20, seed=seed, dataset_source=("mnist", images, labels))
+
+
+class TestMnistDatasets:
+    """build_datasets draws the train and test rows of an IDX pair and converts only those."""
+
+    @staticmethod
+    def _pair(tmp_path, n=600):
+        """Image i's first two pixels spell i in base 256, so a row tells which image it is."""
         rng = np.random.default_rng(0)
-        labels = rng.integers(0, 10, n)
-        return LabeledDataset(inputs=rng.random((n, 4)),
-                              targets=one_hot(labels), kind="classification",
-                              raw_labels=labels)
+        pixels = rng.integers(0, 256, (n, 2, 2), dtype=np.uint8)
+        pixels[:, 0, 0], pixels[:, 0, 1] = np.arange(n) % 256, np.arange(n) // 256
+        labels = rng.integers(0, 10, n, dtype=np.uint8)
+        return pixels, labels, write_idx_pair(tmp_path, pixels, labels)
 
-    def test_deterministic_per_seed(self):
-        pool = self._pool()
-        a = subsample(pool, 100, 20, RngStream(5, "data-gen"))
-        b = subsample(pool, 100, 20, RngStream(5, "data-gen"))
-        assert a[0].inputs.tobytes() == b[0].inputs.tobytes()
-        assert a[1].inputs.tobytes() == b[1].inputs.tobytes()
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_picked_rows_of_the_whole_file(self, tmp_path, seed):
+        pixels, labels, paths = self._pair(tmp_path)
+        inputs = pixels.reshape(len(pixels), -1).astype(np.float64) / 255.0
+        targets = np.eye(10)[labels]
+        picked = RngStream(seed, "data-gen").choice(len(pixels), 120, replace=False)
+        sets = build_datasets(mnist_config(*paths, seed))
+        for ds, rows in zip(sets, (picked[:100], picked[100:])):
+            assert ds.inputs.tobytes() == inputs[rows].tobytes()
+            assert ds.targets.tobytes() == targets[rows].tobytes()
+            assert ds.raw_labels.tobytes() == labels[rows].astype(np.int64).tobytes()
+            assert ds.kind == "classification"
 
-    def test_sizes_and_disjointness(self):
-        pool = self._pool()
-        rng = RngStream(9, "data-gen")
-        picked = rng.choice(len(pool), size=120, replace=False)
-        train_idx, test_idx = set(picked[:100]), set(picked[100:])
-        assert not train_idx & test_idx
-        train, test = subsample(pool, 100, 20, RngStream(9, "data-gen"))
+    def test_deterministic_per_seed(self, tmp_path):
+        _, _, paths = self._pair(tmp_path)
+        a, b, c = (build_datasets(mnist_config(*paths, seed)) for seed in (5, 5, 6))
+        for i in (0, 1):
+            assert a[i].inputs.tobytes() == b[i].inputs.tobytes()
+            assert a[i].inputs.tobytes() != c[i].inputs.tobytes()
+
+    def test_sizes_and_disjointness(self, tmp_path):
+        _, _, paths = self._pair(tmp_path)
+        train, test = build_datasets(mnist_config(*paths, 9))
         assert len(train) == 100 and len(test) == 20
+        ids = [set(np.rint(ds.inputs[:, 0] * 255 + ds.inputs[:, 1] * 255 * 256).astype(int))
+               for ds in (train, test)]
+        assert len(ids[0]) == 100 and len(ids[1]) == 20
+        assert not ids[0] & ids[1]
 
-    def test_insufficient_pool(self):
-        with pytest.raises(ValueError):
-            subsample(self._pool(50), 100, 20, RngStream(1, "data-gen"))
+    def test_too_few_examples(self, tmp_path):
+        _, _, paths = self._pair(tmp_path, n=50)
+        with pytest.raises(ValueError,
+                           match=r"^need 120 examples \(100 train \+ 20 test\), dataset has 50$"):
+            build_datasets(mnist_config(*paths, 1))
+
+    def test_memory_is_bounded_by_the_subsample(self, tmp_path):
+        # 6000 28 x 28 images: 4.7 MB of uint8 pixels, 37.6 MB as float64
+        pixels = np.random.default_rng(1).integers(0, 256, (6000, 28, 28), dtype=np.uint8)
+        paths = write_idx_pair(tmp_path, pixels, np.arange(6000) % 10)
+        config = TrainConfig(net.Architecture([784, 10]), batch_size=100, epochs=1,
+                             train_count=300, test_count=300, dataset_source=("mnist", *paths))
+        tracemalloc.start()
+        try:
+            sets = build_datasets(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(ds) for ds in sets) == 600
+        # the file's bytes once, and the subsample's float64 inputs at most twice
+        assert peak < pixels.nbytes + 2 * 600 * 784 * 8 < pixels.size * 8 / 3
 
 
 class TestBatchPlan:

@@ -149,6 +149,24 @@ class TestHeapPolicy:
         assert (-8, 1) in calls  # M_ARENA_MAX
 
 
+class TestBlasDefault:
+    """A fresh ``import rsgdlab`` gives BLAS one thread, unless the user or numpy came first."""
+
+    @pytest.mark.parametrize("code, env, expected", [
+        ("import rsgdlab", {}, "1 None"),
+        ("import rsgdlab", {"OMP_NUM_THREADS": "3"}, "None 3"),
+        ("import numpy, rsgdlab", {}, "None None"),
+    ], ids=["fresh", "user-variable", "numpy-first"])
+    def test_variable_after_import(self, code, env, expected):
+        src = os.path.dirname(os.path.dirname(rsgdlab.__file__))
+        clean = {k: v for k, v in os.environ.items() if k not in rsgdlab.BLAS_THREAD_VARS}
+        clean["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        show = "import os; print(*map(os.environ.get, ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')))"
+        out = subprocess.run([sys.executable, "-c", f"{code}; {show}"], env={**clean, **env},
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        assert out.strip() == expected
+
+
 class TestTrainLoop:
     def test_eta_clamped_to_floor(self):
         result = train(toy_config(eta0=0.5, eta_floor=0.4, epochs=3))

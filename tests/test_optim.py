@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rsgdlab import network as net
 from rsgdlab import optim
 from rsgdlab.core import RngStream, ShapeError
 from rsgdlab.optim import (Adam, ExpGammaSchedule, Nag, PowerLawSchedule,
@@ -171,6 +172,50 @@ class TestSgdm:
                 delta = opt.step([grads[k]], etas[k])[0]
             oracle = sgdm_unfold(rhos, grads, etas)
             assert np.max(np.abs(delta - oracle)) < 1e-10
+
+
+OPTIMIZER_MAKERS = {
+    "backprop": VanillaSgd,
+    "rsgd": lambda p: Rsgd(p, PowerLawSchedule(1.0, 0.5), RngStream(0, "reinforcement")),
+    "sgdm": lambda p: Sgdm(p, 0.9),
+    "nag": lambda p: Nag(p, 0.9),
+    "adam": Adam,
+}
+
+
+class TestStepState:
+    """What a step holds, on the paper's 100-400-200-10 shapes."""
+
+    @staticmethod
+    def setup_step(name):
+        params = net.init_params(net.Architecture([100, 400, 200, 10]), RngStream(0, "weight-init"))
+        rng = np.random.default_rng(0)
+        return params, OPTIMIZER_MAKERS[name](params), lambda: [
+            rng.standard_normal(w.shape) for w in params]
+
+    @pytest.mark.parametrize("name", ["backprop", "rsgd", "sgdm"])
+    def test_one_step_and_update_hold_one_accumulator(self, name):
+        params, opt, draw = self.setup_step(name)
+        opt.step(draw(), 0.1)
+        grads = draw()
+        tracemalloc.start()
+        try:
+            for w, d in zip(params, opt.step(grads, 0.1)):
+                w += d
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the deltas, and R-SGD's coins (a byte per weight): no second accumulator
+        assert peak <= 1.5 * sum(w.nbytes for w in params)
+
+    @pytest.mark.parametrize("name", list(OPTIMIZER_MAKERS))
+    def test_later_steps_leave_returned_deltas_alone(self, name):
+        _, opt, draw = self.setup_step(name)
+        deltas = opt.step(draw(), 0.1)
+        kept = [d.copy() for d in deltas]
+        for _ in range(3):
+            opt.step(draw(), 0.1)
+        assert all(np.array_equal(d, k) for d, k in zip(deltas, kept))
 
 
 class TestSgdmUnfold:
