@@ -129,34 +129,24 @@ class RngStream:
     Same (seed, stream_id) always reproduces the same draw sequence; distinct
     stream_ids from one seed are statistically independent (PCG64 seeded via
     SeedSequence spawn keys).  A stream is single-owner: never draw from one
-    stream concurrently.
+    stream concurrently.  ``gen`` is the stream's numpy Generator: draw from it
+    directly where numpy's own checks suffice.
     """
 
     def __init__(self, seed: int, stream_id: str):
-        self.seed = int(seed)
-        self.stream_id = stream_id
-        ss = np.random.SeedSequence(self.seed, spawn_key=(_stream_key(stream_id),))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"
+        ss = np.random.SeedSequence(int(seed), spawn_key=(_stream_key(stream_id),))
+        self.gen = np.random.Generator(np.random.PCG64(ss))
 
     def normal(self, rows: int, cols: int, mean: float = 0.0, std: float = 1.0) -> Matrix:
         if std < 0:
             raise ValueError(f"std must be >= 0, got {std}")
-        return mean + std * self._gen.standard_normal((rows, cols))
-
-    def uniform(self, shape) -> Matrix:
-        return self._gen.random(shape)
+        return mean + std * self.gen.standard_normal((rows, cols))
 
     def bernoulli_matrix(self, p: float, shape) -> np.ndarray:
         """One coin per component, drawn in row-major order."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], got {p}")
-        return self._gen.random(shape) < p
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        return self.gen.random(shape) < p
 
     def split(self, counts) -> list[np.random.Generator]:
         """Generators for consecutive stretches of this stream, ``counts[i]`` draws each.
@@ -167,17 +157,13 @@ class RngStream:
         them.  ``advance`` drops PCG64's buffered 32-bit half, which is put
         back, so a later 32-bit draw is the same as without the split.
         """
-        bits = self._gen.bit_generator
+        bits = self.gen.bit_generator
         buffered = bits.state
         parts = []
         for count in counts:
-            parts.append(copy.deepcopy(self._gen))
+            parts.append(copy.deepcopy(self.gen))
             bits.advance(int(count))
         state = bits.state
         state.update(has_uint32=buffered["has_uint32"], uinteger=buffered["uinteger"])
         bits.state = state
         return parts
-
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
-

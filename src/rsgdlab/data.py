@@ -29,22 +29,17 @@ class IdxTruncatedError(IdxError):
     """File ends before the declared payload is complete."""
 
 
-class IdxCountMismatchError(IdxError):
-    """Image file and label file declare different example counts."""
-
-
 @dataclass
 class LabeledDataset:
     inputs: np.ndarray            # (N, n_in)
     targets: np.ndarray           # (N, n_out)
-    kind: str = "regression"      # regression | classification
+    # rsgdlab neither sets nor reads these two; they stay because bench/run.py passes them
+    kind: str = "regression"
     raw_labels: np.ndarray | None = None
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError("inputs and targets must have the same example count")
-        if self.kind == "classification" and self.raw_labels is None:
-            raise ValueError("classification datasets need raw_labels")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -58,12 +53,7 @@ class LabeledDataset:
         return self.targets.shape[1]
 
     def take(self, indices: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(
-            inputs=self.inputs[indices],
-            targets=self.targets[indices],
-            kind=self.kind,
-            raw_labels=None if self.raw_labels is None else self.raw_labels[indices],
-        )
+        return LabeledDataset(self.inputs[indices], self.targets[indices])
 
 
 def generate_teacher_dataset(n_in: int, n_out: int, count: int,
@@ -110,20 +100,24 @@ def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
 
 
 def read_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """The big-endian IDX pair's pixels, one row per image, and labels, both uint8."""
+    """The big-endian IDX pair's pixels, one row per image, and labels 0-9, both uint8."""
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     count, rows, cols = images.shape
+    if not count:
+        raise IdxError(f"{images_path}: holds no images")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if len(labels) != count:
-        raise IdxCountMismatchError(
+        raise IdxError(
             f"{images_path} has {count} images but {labels_path} has {len(labels)} labels")
+    if labels.max() > 9:
+        i = int(np.argmax(labels > 9))
+        raise IdxError(f"{labels_path}: label {labels[i]} at index {i} is not a digit 0-9")
     return images.reshape(count, rows * cols), labels
 
 
 def mnist_dataset(pixels: np.ndarray, labels: np.ndarray) -> LabeledDataset:
-    """uint8 ``pixels`` scaled to [0,1] and ``labels`` one-hot, as a classification set."""
-    return LabeledDataset(inputs=pixels / 255.0, targets=one_hot(labels),
-                          kind="classification", raw_labels=labels.astype(np.int64))
+    """uint8 ``pixels`` scaled to [0,1] and ``labels`` one-hot."""
+    return LabeledDataset(inputs=pixels / 255.0, targets=one_hot(labels))
 
 
 def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
@@ -144,7 +138,7 @@ class BatchPlan:
 
     def epoch_batches(self):
         """Yield index arrays for one epoch; reshuffles from the stream."""
-        order = self.rng.permutation(self.n_examples)
+        order = self.rng.gen.permutation(self.n_examples)
         for start in range(0, self.n_examples, self.batch_size):
             yield order[start:start + self.batch_size]
 
@@ -168,12 +162,15 @@ def load_dataset(path) -> LabeledDataset:
     The header's sizes are checked against the file before anything is
     allocated, and the inputs and targets are read straight into their final
     C-contiguous ``<f8`` arrays, so an N-byte file needs about N bytes of
-    memory.  ``ValueError`` on a bad magic, a short file or trailing bytes.
+    memory.  ``ValueError`` on a bad magic, no examples, a short file or
+    trailing bytes.
     """
     with open(path, "rb") as f:
         if f.read(len(_DS_MAGIC)) != _DS_MAGIC:
             raise ValueError(f"{path}: not a dataset file (bad magic)")
         n_in, n_out, count = read_array(f, (3,), "<u4", path).tolist()
+        if not count:
+            raise ValueError(f"{path}: holds no examples")
         inputs = read_array(f, (count, n_in), "<f8", path)
         targets = read_array(f, (count, n_out), "<f8", path)
         check_end(f, path)

@@ -177,7 +177,8 @@ def build_datasets(config: TrainConfig) -> tuple[data_mod.LabeledDataset, data_m
         if n_train + n_test > len(labels):
             raise ValueError(f"need {n_train + n_test} examples ({n_train} train + {n_test} test), "
                              f"dataset has {len(labels)}")
-        picked = RngStream(config.seed, "data-gen").choice(len(labels), n_train + n_test)
+        picked = RngStream(config.seed, "data-gen").gen.choice(len(labels), n_train + n_test,
+                                                               replace=False)
         return tuple(data_mod.mnist_dataset(pixels[rows], labels[rows])
                      for rows in (picked[:n_train], picked[n_train:]))
     sets = data_mod.load_dataset(source[1]), data_mod.load_dataset(source[2])

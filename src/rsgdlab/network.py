@@ -35,11 +35,6 @@ def relu(x, out=None):
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_derivative(x):
-    # Subgradient at exactly 0 is taken as 0.
-    return (x > 0).astype(np.float64)
-
-
 def softmax(x, out=None):
     """Column-wise softmax (vector or matrix of column vectors)."""
     shifted = np.subtract(x, np.max(x, axis=0, keepdims=True), out=out)
@@ -62,7 +57,8 @@ def _hidden_derivative(s, kind: str):
     """Activation derivative expressed through the activation's output s."""
     if kind == "sigmoid":
         return s * (1.0 - s)
-    return relu_derivative(s)  # relu(h) > 0 exactly where h > 0
+    # relu(h) > 0 exactly where h > 0; the subgradient at exactly 0 is taken as 0
+    return (s > 0).astype(np.float64)
 
 
 @dataclass

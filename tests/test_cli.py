@@ -1,3 +1,5 @@
+import pathlib
+import re
 import struct
 import warnings
 
@@ -503,6 +505,12 @@ class TestOptions:
         assert "# schedule = power_law" in err
 
 
+def save_initial_checkpoint(path, *widths):
+    """A checkpoint of the net ``widths`` at its seed-0 initial weights."""
+    arch = net.Architecture(list(widths))
+    net.save_checkpoint(path, arch, net.init_params(arch, RngStream(0, "weight-init")))
+
+
 TOY = ["--arch", "4-6-3", "--batch", "10", "--train-count", "50", "--test-count", "50",
        "--epochs", "1"]
 
@@ -527,8 +535,7 @@ class TestExitCodes:
     def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
         cfg, ckpt = tmp_path / "c.cfg", tmp_path / "c.ckpt"
         cfg.write_text("epochs 3\n")
-        arch = net.Architecture([4, 3])
-        net.save_checkpoint(ckpt, arch, net.init_params(arch, RngStream(0, "weight-init")))
+        save_initial_checkpoint(ckpt, 4, 3)
         code, _, err = run_cli(capsys, *(a.format(cfg=cfg, ckpt=ckpt) for a in argv))
         assert code == 1
         self.assert_one_error(err)
@@ -603,6 +610,48 @@ class TestExitCodes:
         self.assert_one_error(err)
         assert "training diverged" in err.strip().splitlines()[-1]
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "{ckpt}", "--data-test", "{empty}"],
+        ["scan-surface", "--checkpoints", "{ckpt},{ckpt},{ckpt},{ckpt}", "--resolution", "2",
+         "--data-test", "{empty}"],
+        ["train", "--arch", "4-3", "--batch", "10", "--epochs", "1",
+         "--data-train", "{empty}", "--data-test", "{full}"],
+        ["train", "--arch", "4-3", "--batch", "10", "--epochs", "1",
+         "--data-train", "{full}", "--data-test", "{empty}"],
+    ], ids=["eval", "scan-surface", "train-set", "test-set"])
+    def test_dataset_file_without_examples_exits_2(self, tmp_path, capsys, argv):
+        ckpt, empty, full = tmp_path / "c.ckpt", tmp_path / "empty.bin", tmp_path / "full.bin"
+        save_initial_checkpoint(ckpt, 4, 3)
+        save_dataset(empty, LabeledDataset(np.zeros((0, 4)), np.zeros((0, 3))))
+        save_dataset(full, LabeledDataset(np.zeros((50, 4)), np.zeros((50, 3))))
+        code, _, err = run_cli(capsys, *(a.format(ckpt=ckpt, empty=empty, full=full)
+                                         for a in argv))
+        assert code == 2
+        self.assert_one_error(err)
+        assert err.strip().splitlines()[-1] == f"error: {empty}: holds no examples"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("bad", [True, False], ids=["label-above-9", "no-images"])
+    def test_idx_pair_without_images_or_with_a_label_above_9_exits_2(
+            self, tmp_path, capsys, command, bad):
+        digits = np.arange(20) % 10
+        digits[3], digits[7] = 12, 15
+        images, labels = write_idx_pair(tmp_path, np.zeros((len(digits) if bad else 0, 2, 2)),
+                                        digits if bad else [])
+        argv = ["--mnist-images", str(images), "--mnist-labels", str(labels)]
+        if command == "train":
+            argv += ["--arch", "4-10", "--batch", "5", "--train-count", "10",
+                     "--test-count", "10", "--epochs", "1"]
+        else:
+            save_initial_checkpoint(tmp_path / "c.ckpt", 4, 10)
+            argv += ["--checkpoint", str(tmp_path / "c.ckpt")]
+        code, _, err = run_cli(capsys, command, *argv)
+        assert code == 2
+        self.assert_one_error(err)
+        assert err.strip().splitlines()[-1] == (
+            f"error: {labels}: label 12 at index 3 is not a digit 0-9" if bad
+            else f"error: {images}: holds no images")
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         def allocate(*_):
@@ -825,11 +874,21 @@ class TestStepSizes:
         assert built["adam"].eta_floor == 0.001 and built["backprop"].eta_floor == 0.02
 
 
+SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
 @pytest.mark.parametrize("command, n_flags", [
     ("gen-data", 5), ("train", 26), ("suite", 27), ("eval", 7), ("scan-surface", 9),
     ("analyze-memory", 9),
 ])
 def test_flag_count(command, n_flags):
-    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
-    flags = [a for a in sub._actions if a.dest != "help"]
+    flags = [a for a in SUBPARSERS[command]._actions if a.dest != "help"]
     assert len(flags) == n_flags
+
+
+@pytest.mark.parametrize("command", SUBPARSERS)
+def test_readme_flag_table_matches_the_parser(command):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| `(--[^`]*)` \|$", readme, re.M))
+    flags = [s for a in SUBPARSERS[command]._actions if a.dest != "help" for s in a.option_strings]
+    assert rows[command].split() == flags

@@ -63,23 +63,23 @@ class TestSplit:
     def test_parts_are_consecutive_stretches_of_the_stream(self):
         rng, ref = RngStream(7, "reinforcement"), RngStream(7, "reinforcement")
         parts = rng.split([5, 0, 7])
-        draws = ref.uniform(12)
+        draws = ref.gen.random(12)
         assert np.array_equal(parts[0].random(5), draws[:5])
         assert parts[1].random(0).size == 0
         assert np.array_equal(parts[2].random(7), draws[5:])
         # the stream itself stands after all of them
-        assert rng.uniform(3).tobytes() == ref.uniform(3).tobytes()
+        assert rng.gen.random(3).tobytes() == ref.gen.random(3).tobytes()
 
     def test_buffered_32_bit_half_is_kept(self):
         # a 32-bit draw leaves the other half of a 64-bit output buffered
         rng, ref = RngStream(7, "reinforcement"), RngStream(7, "reinforcement")
         for stream in (rng, ref):
-            stream._gen.integers(0, 1000, size=1, dtype=np.uint32)
+            stream.gen.integers(0, 1000, size=1, dtype=np.uint32)
         rng.split([4, 9])
-        ref.uniform(13)
-        assert rng._gen.bit_generator.state == ref._gen.bit_generator.state
-        assert np.array_equal(rng._gen.integers(0, 1000, size=4, dtype=np.uint32),
-                              ref._gen.integers(0, 1000, size=4, dtype=np.uint32))
+        ref.gen.random(13)
+        assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+        assert np.array_equal(rng.gen.integers(0, 1000, size=4, dtype=np.uint32),
+                              ref.gen.integers(0, 1000, size=4, dtype=np.uint32))
 
 
 class TestReadArray:

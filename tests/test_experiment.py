@@ -14,7 +14,7 @@ from conftest import write_idx_pair
 from rsgdlab import core, experiment
 from rsgdlab import network as net
 from rsgdlab.core import RngStream, ShapeError
-from rsgdlab.data import LabeledDataset, one_hot, save_dataset
+from rsgdlab.data import LabeledDataset, generate_teacher_dataset, one_hot, save_dataset
 from rsgdlab.experiment import (DivergenceError, MetricsRecord, SuiteRow,
                                 TrainConfig, build_datasets, evaluate,
                                 run_suite, train, write_aggregate_csv,
@@ -149,8 +149,31 @@ class TestHeapPolicy:
         assert (-8, 1) in calls  # M_ARENA_MAX
 
 
+# train the paper's net for 3 epochs into directory argv[2], then scan its checkpoints' surface
+PAPER_RUN = """
+import sys
+from rsgdlab.cli import main
+data, out = sys.argv[1:]
+ckpts = ",".join(f"{out}/epoch_{e:04d}.ckpt" for e in range(4))
+sys.exit(main(["train", "--data-train", f"{data}/train.bin", "--data-test", f"{data}/test.bin",
+               "--arch", "100-400-200-10", "--epochs", "3", "--seed", "1",
+               "--checkpoint-epochs", "0,1,2,3", "--out", out])
+         or main(["scan-surface", "--data-test", f"{data}/test.bin", "--resolution", "5",
+                  "--checkpoints", ckpts, "--out", f"{out}/surface.csv"]))
+"""
+
+
 class TestBlasDefault:
     """A fresh ``import rsgdlab`` gives BLAS one thread, unless the user or numpy came first."""
+
+    @staticmethod
+    def child_env(**variables):
+        """This process's environment less every BLAS variable (importing rsgdlab sets one),
+        with ``rsgdlab`` importable and ``variables`` set."""
+        src = os.path.dirname(os.path.dirname(rsgdlab.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in rsgdlab.BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return {**env, **variables}
 
     @pytest.mark.parametrize("code, env, expected", [
         ("import rsgdlab", {}, "1 None"),
@@ -158,13 +181,32 @@ class TestBlasDefault:
         ("import numpy, rsgdlab", {}, "None None"),
     ], ids=["fresh", "user-variable", "numpy-first"])
     def test_variable_after_import(self, code, env, expected):
-        src = os.path.dirname(os.path.dirname(rsgdlab.__file__))
-        clean = {k: v for k, v in os.environ.items() if k not in rsgdlab.BLAS_THREAD_VARS}
-        clean["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         show = "import os; print(*map(os.environ.get, ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')))"
-        out = subprocess.run([sys.executable, "-c", f"{code}; {show}"], env={**clean, **env},
+        out = subprocess.run([sys.executable, "-c", f"{code}; {show}"], env=self.child_env(**env),
                              capture_output=True, text=True, check=True, timeout=120).stdout
         assert out.strip() == expected
+
+    @pytest.mark.skipif(core.usable_cpus() < 2, reason="on one CPU BLAS runs one thread anyway")
+    def test_run_without_a_variable_is_the_one_thread_run(self, tmp_path):
+        # two BLAS threads move the last bits of the paper's net
+        for part, dataset in zip(("train", "test"), generate_teacher_dataset(
+                100, 10, 2000, RngStream(1, "data-gen"))):
+            save_dataset(tmp_path / f"{part}.bin", dataset)
+        envs = {"default": self.child_env(), "one-thread": self.child_env(OPENBLAS_NUM_THREADS="1")}
+        children = {name: subprocess.Popen([sys.executable, "-c", PAPER_RUN, str(tmp_path),
+                                            str(tmp_path / name)], env=env,
+                                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                    for name, env in envs.items()}
+        try:
+            for child in children.values():
+                _, err = child.communicate(timeout=120)
+                assert child.returncode == 0, err.decode()
+        finally:
+            for child in children.values():
+                child.kill()
+        for f in ("final.ckpt", *(f"epoch_{e:04d}.ckpt" for e in range(4)), "surface.csv"):
+            assert ((tmp_path / "default" / f).read_bytes()
+                    == (tmp_path / "one-thread" / f).read_bytes()), f
 
 
 class TestTrainLoop:
@@ -181,7 +223,7 @@ class TestTrainLoop:
         # one update: final params = init - eta * gradient of the single batch
         train_set, _ = build_datasets(cfg)
         params = net.init_params(cfg.architecture, RngStream(cfg.seed, "weight-init"))
-        order = RngStream(cfg.seed, "shuffle").permutation(50)
+        order = RngStream(cfg.seed, "shuffle").gen.permutation(50)
         x = train_set.inputs[order].T
         y = train_set.targets[order].T
         grads = net.backward(params, cfg.architecture,
@@ -203,7 +245,7 @@ class TestTrainLoop:
         inits = [net.init_params(c.architecture, RngStream(c.seed, "weight-init"))
                  for c in configs]
         datasets = [build_datasets(c) for c in configs]
-        orders = [RngStream(c.seed, "shuffle").permutation(50) for c in configs]
+        orders = [RngStream(c.seed, "shuffle").gen.permutation(50) for c in configs]
         for other_init, other_data, other_order in zip(inits[1:], datasets[1:], orders[1:]):
             for a, b in zip(inits[0], other_init):
                 assert a.tobytes() == b.tobytes()

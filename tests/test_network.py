@@ -65,10 +65,8 @@ class TestActivations:
 
     def test_relu_values_and_derivative(self):
         assert net.relu(np.array([-2.0]))[0] == 0.0
-        assert net.relu_derivative(np.array([-2.0]))[0] == 0.0
-        assert net.relu_derivative(np.array([3.0]))[0] == 1.0
         # subgradient convention at exactly zero
-        assert net.relu_derivative(np.array([0.0]))[0] == 0.0
+        assert net._hidden_derivative(np.array([-2.0, 0.0, 3.0]), "relu").tolist() == [0, 0, 1]
 
     def test_softmax_symmetry(self):
         assert np.allclose(net.softmax(np.zeros(2)), [0.5, 0.5])

@@ -408,7 +408,7 @@ class TestSimulateMemoryLength:
                             runs_per_block * max(t, 1) * optim.usable_cpus())
         sched = PowerLawSchedule(1.0, 0.5)
         probs = np.array([sched.gamma(l) for l in range(1, t + 1)])
-        expected = trailing_run_histogram(RngStream(8, "reinforcement").uniform((11, t)) < probs)
+        expected = trailing_run_histogram(RngStream(8, "reinforcement").gen.random((11, t)) < probs)
         got = simulate_memory_length(sched, t, 11, RngStream(8, "reinforcement"))
         assert got.shape == (t + 1,)
         assert np.array_equal(got, expected)
@@ -442,7 +442,7 @@ def sequential_histogram(sched, t, n_runs, rng, chunk=2000):
     probs = np.array([sched.gamma(l) for l in range(1, t + 1)])
     counts = np.zeros(t + 1, dtype=np.int64)
     for start in range(0, n_runs, chunk):
-        coins = rng.uniform((min(chunk, n_runs - start), t)) < probs
+        coins = rng.gen.random((min(chunk, n_runs - start), t)) < probs
         lengths = np.cumprod(coins[:, ::-1], axis=1).sum(axis=1)
         counts += np.bincount(lengths, minlength=t + 1)
     return counts / n_runs
@@ -464,20 +464,20 @@ class TestSimulationParts:
             rng = RngStream(4, "reinforcement")
             got = simulate_memory_length(sched, t, n_runs, rng)
             assert got.tobytes() == expected.tobytes(), parts
-            assert rng._gen.bit_generator.state == ref._gen.bit_generator.state, parts
+            assert rng.gen.bit_generator.state == ref.gen.bit_generator.state, parts
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 7])
     def test_buffered_32_bit_half_survives(self, monkeypatch, parts):
         monkeypatch.setattr(optim, "usable_cpus", lambda: parts)
         rng, ref = RngStream(9, "reinforcement"), RngStream(9, "reinforcement")
         for stream in (rng, ref):
-            stream._gen.integers(0, 1000, size=1, dtype=np.uint32)
+            stream.gen.integers(0, 1000, size=1, dtype=np.uint32)
         sched = PowerLawSchedule(1.0, 0.5)
         got = simulate_memory_length(sched, 40, 12345, rng)
         assert got.tobytes() == sequential_histogram(sched, 40, 12345, ref).tobytes()
-        assert rng._gen.bit_generator.state == ref._gen.bit_generator.state
-        assert np.array_equal(rng._gen.integers(0, 1000, size=4, dtype=np.uint32),
-                              ref._gen.integers(0, 1000, size=4, dtype=np.uint32))
+        assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+        assert np.array_equal(rng.gen.integers(0, 1000, size=4, dtype=np.uint32),
+                              ref.gen.integers(0, 1000, size=4, dtype=np.uint32))
 
     def test_parts_are_whole_blocks(self, monkeypatch):
         # 3 CPUs, 2 runs per block: 11 runs make 6 blocks, cut 2 + 2 + 2 blocks
