@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, suite, eval, scan-surface, analyze-memory, each
-with only the options it reads.  A key=value config file (--config) becomes
-flags ahead of the command line's own, so its values pass the same checks and
-explicit flags override them.  Resolved options go to stderr; stdout carries
-only data (CSV or a single number).
+with only the options it reads.  Each option is declared once, in OPTIONS, and
+COMMANDS names the ones each subcommand reads and needs.  A key=value config
+file (--config) becomes flags ahead of the command line's own, so its values
+pass the same checks and explicit flags override them.  Resolved options go to
+stderr; stdout carries only data (CSV or a single number).
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -99,21 +100,18 @@ OPTIONS = {
     "data_train": (None, {}),
     "data_test": (None, {}),
     "out": (None, {}),
+    "n_in": (None, {"type": at_least(1)}),
+    "n_out": (None, {"type": at_least(1)}),
+    "count": (None, {"type": even_count, "help": "total examples (half train, half test)"}),
+    "optimizers": (None, {"help": "comma-separated optimizer list"}),
+    "runs": (5, {"type": at_least(1)}),
+    "checkpoint": (None, {}),
+    "checkpoints": (None, {"help": "4 comma-separated checkpoint paths"}),
+    "resolution": (41, {"type": at_least(2)}),
+    "t": (None, {"type": at_least(0), "help": "step at which to evaluate the distribution"}),
+    "simulate": (0, {"type": at_least(0),
+                     "help": "also simulate this many coin-process runs and report TV distance"}),
 }
-
-# The options each subcommand reads (train reads them all; suite writes no checkpoints).
-SUITE_KEYS = tuple(key for key in OPTIONS if key != "checkpoint_epochs")
-EVAL_KEYS = ("metric", "mnist_images", "mnist_labels", "data_train", "data_test")
-SCAN_KEYS = EVAL_KEYS + ("out",)
-MEMORY_KEYS = ("seed", "schedule", "gamma0", "a0", "b0", "out")
-
-
-def _add_options(p: _Parser, keys):
-    p.add_argument("--config", help="key=value config file")
-    for key in keys:
-        default, kwargs = OPTIONS[key]
-        p.add_argument("--" + key.replace("_", "-"), dest=key, default=default, **kwargs)
-    p.set_defaults(keys=tuple(keys))
 
 
 def _config_flags(path, keys) -> list[str]:
@@ -135,16 +133,15 @@ def _config_flags(path, keys) -> list[str]:
     return flags
 
 
-def _prepare(args, build=None):
-    """Build what a subcommand runs (a ValueError is a usage error), then print its options."""
-    opts = {key: getattr(args, key) for key in args.keys}
+def _prepare(command, opts, build):
+    """Build what ``command`` runs (a ValueError is a usage error), then print its options."""
     try:
         built = build(opts) if build else None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    print(f"# resolved configuration ({args.command})",
+    print(f"# resolved configuration ({command})",
           *(f"# {key} = {opts[key]}" for key in sorted(opts)), sep="\n", file=sys.stderr)
-    return opts, built
+    return built
 
 
 def _metric(opts) -> str:
@@ -160,6 +157,9 @@ def _build_schedule(opts) -> optim.Schedule:
 
 def _dataset_source(opts) -> tuple:
     if opts["mnist_images"] or opts["mnist_labels"]:
+        if opts["data_train"] or opts["data_test"]:
+            raise UsageError("two data sources: give --mnist-images/--mnist-labels "
+                             "or --data-train/--data-test, not both")
         if not (opts["mnist_images"] and opts["mnist_labels"]):
             raise UsageError("--mnist-images and --mnist-labels go together")
         return ("mnist", opts["mnist_images"], opts["mnist_labels"])
@@ -172,6 +172,8 @@ def _dataset_source(opts) -> tuple:
 
 def _build_train_config(opts) -> TrainConfig:
     """The run ``opts`` describe; the step sizes and counts it resolves go back into ``opts``."""
+    if opts.get("checkpoint_epochs") and not opts["out"]:
+        raise UsageError("--checkpoint-epochs needs --out, the directory the checkpoints go to")
     optimizer = opts["optimizer"]
     uses_schedule = optimizer == "rsgd" or opts["rho"] == "adaptive"
     config = TrainConfig(
@@ -189,21 +191,24 @@ def _build_train_config(opts) -> TrainConfig:
     return config
 
 
-def _cmd_gen_data(args) -> int:
+def _build_suite_configs(opts) -> dict[str, TrainConfig]:
+    names = [o.strip() for o in opts["optimizers"].split(",")] if opts["optimizers"] else None
+    return {name: _build_train_config(dict(opts, optimizer=name))
+            for name in names or [opts["optimizer"]]}
+
+
+def _cmd_gen_data(opts, _) -> int:
     train_set, test_set = data_mod.generate_teacher_dataset(
-        args.n_in, args.n_out, args.count, RngStream(args.seed, "data-gen"))
-    os.makedirs(args.out, exist_ok=True)
-    data_mod.save_dataset(os.path.join(args.out, "train.bin"), train_set)
-    data_mod.save_dataset(os.path.join(args.out, "test.bin"), test_set)
-    print(f"# wrote {args.out}/train.bin ({len(train_set)} examples) and "
-          f"{args.out}/test.bin ({len(test_set)} examples)", file=sys.stderr)
+        opts["n_in"], opts["n_out"], opts["count"], RngStream(opts["seed"], "data-gen"))
+    os.makedirs(opts["out"], exist_ok=True)
+    data_mod.save_dataset(os.path.join(opts["out"], "train.bin"), train_set)
+    data_mod.save_dataset(os.path.join(opts["out"], "test.bin"), test_set)
+    print(f"# wrote {opts['out']}/train.bin ({len(train_set)} examples) and "
+          f"{opts['out']}/test.bin ({len(test_set)} examples)", file=sys.stderr)
     return 0
 
 
-def _cmd_train(args) -> int:
-    if args.checkpoint_epochs and not args.out:
-        raise UsageError("--checkpoint-epochs needs --out, the directory the checkpoints go to")
-    opts, config = _prepare(args, _build_train_config)
+def _cmd_train(opts, config) -> int:
     result = train(config)
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
@@ -219,11 +224,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_suite(args) -> int:
-    optimizers = [o.strip() for o in args.optimizers.split(",")] if args.optimizers else None
-    opts, configs = _prepare(args, lambda o: {name: _build_train_config(dict(o, optimizer=name))
-                                              for name in optimizers or [o["optimizer"]]})
-    rows = run_suite(configs, n_runs=args.runs)
+def _cmd_suite(opts, configs) -> int:
+    rows = run_suite(configs, n_runs=opts["runs"])
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
         write_aggregate_csv(os.path.join(opts["out"], "aggregate.csv"), rows)
@@ -241,9 +243,8 @@ def _load_eval_dataset(opts):
     raise UsageError("eval and scan-surface need --data-test or --mnist-images/--mnist-labels")
 
 
-def _cmd_eval(args) -> int:
-    opts, _ = _prepare(args)
-    arch, params = net.load_checkpoint(args.checkpoint)
+def _cmd_eval(opts, _) -> int:
+    arch, params = net.load_checkpoint(opts["checkpoint"])
     error = evaluate(params, arch, _load_eval_dataset(opts), _metric(opts))
     print(error)
     if not np.isfinite(error):
@@ -252,9 +253,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_scan_surface(args) -> int:
-    opts, _ = _prepare(args)
-    paths = args.checkpoints.split(",")
+def _cmd_scan_surface(opts, _) -> int:
+    paths = opts["checkpoints"].split(",")
     if len(paths) != 4:
         raise UsageError(f"--checkpoints needs exactly 4 paths, got {len(paths)}")
     loaded = [net.load_checkpoint(p) for p in paths]
@@ -262,7 +262,7 @@ def _cmd_scan_surface(args) -> int:
     for path, (other, _) in zip(paths, loaded):
         if other != arch:
             raise ValueError(f"{path}: {other} differs from {paths[0]}'s {arch}")
-    grid = surface_mod.scan_surface([params for _, params in loaded], args.resolution,
+    grid = surface_mod.scan_surface([params for _, params in loaded], opts["resolution"],
                                     arch, _load_eval_dataset(opts), _metric(opts))
     surface_mod.write_surface_csv(opts["out"] or sys.stdout, grid)
     if grid.has_failures:
@@ -271,65 +271,56 @@ def _cmd_scan_surface(args) -> int:
     return 0
 
 
-def _cmd_analyze_memory(args) -> int:
-    opts, schedule = _prepare(args, _build_schedule)
-    pmf = optim.memory_length_pmf(schedule, args.t)
+def _cmd_analyze_memory(opts, schedule) -> int:
+    pmf = optim.memory_length_pmf(schedule, opts["t"])
     write_csv(opts["out"] or sys.stdout, ["length", "probability"],
               ([length, repr(float(prob))] for length, prob in enumerate(pmf)))
-    if args.simulate:
-        empirical = optim.simulate_memory_length(schedule, args.t, args.simulate,
+    if opts["simulate"]:
+        empirical = optim.simulate_memory_length(schedule, opts["t"], opts["simulate"],
                                                  RngStream(opts["seed"], "reinforcement"))
         tv = 0.5 * float(np.abs(empirical - pmf).sum())
-        expected = optim.expected_tv(pmf, args.simulate)
+        expected = optim.expected_tv(pmf, opts["simulate"])
         ratio = tv / expected if expected else float("nan")
-        print(f"# simulated {args.simulate} runs: total-variation distance {tv:.5f} "
+        print(f"# simulated {opts['simulate']} runs: total-variation distance {tv:.5f} "
               f"(expected {expected:.5f} from sampling noise, ratio {ratio:.2f})",
               file=sys.stderr)
     return 0
+
+
+DATA_KEYS = ["metric", "mnist_images", "mnist_labels", "data_train", "data_test"]
+TRAIN_KEYS = ("seed optimizer schedule gamma0 lambda a0 b0 rho eta0 beta eta_floor batch epochs "
+              "train_count test_count arch activation loss metric checkpoint_epochs "
+              "mnist_images mnist_labels data_train data_test out").split()
+
+# subcommand -> (help, handler, builder of what it runs, the keys it reads in flag order,
+# the keys it needs); a needed key may come from --config, so argparse does not check it
+COMMANDS = {
+    "gen-data": ("generate a teacher-network dataset", _cmd_gen_data, None,
+                 ["n_in", "n_out", "count", "seed", "out"], ["n_in", "n_out", "count", "out"]),
+    "train": ("run one training experiment", _cmd_train, _build_train_config, TRAIN_KEYS, []),
+    # a suite writes no checkpoints
+    "suite": ("multi-seed aggregation across optimizers", _cmd_suite, _build_suite_configs,
+              [k for k in TRAIN_KEYS if k != "checkpoint_epochs"] + ["optimizers", "runs"], []),
+    "eval": ("evaluate a checkpoint on a dataset", _cmd_eval, None,
+             DATA_KEYS + ["checkpoint"], ["checkpoint"]),
+    "scan-surface": ("bilinear-interpolation error surface scan", _cmd_scan_surface, None,
+                     DATA_KEYS + ["out", "checkpoints", "resolution"], ["checkpoints"]),
+    "analyze-memory": ("memory-length distribution of the reinforced rule", _cmd_analyze_memory,
+                       _build_schedule, ["seed", "schedule", "gamma0", "a0", "b0", "out", "t",
+                                         "simulate"], ["t"]),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rsgd-lab",
                      description="Train feedforward networks with reinforced SGD and baselines")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a teacher-network dataset")
-    p.add_argument("--n-in", type=at_least(1), required=True)
-    p.add_argument("--n-out", type=at_least(1), required=True)
-    p.add_argument("--count", type=even_count, required=True,
-                   help="total examples (half train, half test)")
-    p.add_argument("--seed", type=at_least(0), default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="run one training experiment")
-    _add_options(p, OPTIONS)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("suite", help="multi-seed aggregation across optimizers")
-    _add_options(p, SUITE_KEYS)
-    p.add_argument("--optimizers", help="comma-separated optimizer list")
-    p.add_argument("--runs", type=at_least(1), default=5)
-    p.set_defaults(func=_cmd_suite)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _add_options(p, EVAL_KEYS)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("scan-surface", help="bilinear-interpolation error surface scan")
-    _add_options(p, SCAN_KEYS)
-    p.add_argument("--checkpoints", required=True, help="4 comma-separated checkpoint paths")
-    p.add_argument("--resolution", type=at_least(2), default=41)
-    p.set_defaults(func=_cmd_scan_surface)
-
-    p = sub.add_parser("analyze-memory", help="memory-length distribution of the reinforced rule")
-    _add_options(p, MEMORY_KEYS)
-    p.add_argument("--t", type=at_least(0), required=True,
-                   help="step at which to evaluate the distribution")
-    p.add_argument("--simulate", type=at_least(0), default=0,
-                   help="also simulate this many coin-process runs and report TV distance")
-    p.set_defaults(func=_cmd_analyze_memory)
+    for command, (help_text, _, _, keys, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key=value config file")
+        for key in keys:
+            default, kwargs = OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=default, **kwargs)
     return parser
 
 
@@ -338,12 +329,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
+        _, run, build, keys, needed = COMMANDS[args.command]
+        if args.config:
             # argv[0] is the subcommand; its own flags come last and so win
-            args = parser.parse_args(argv[:1] + _config_flags(args.config, args.keys) + argv[1:])
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, keys) + argv[1:])
+        opts = {key: getattr(args, key) for key in keys}
+        missing = ["--" + key.replace("_", "-") for key in needed if opts[key] is None]
+        if missing:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}")
         # a non-finite result is reported by the subcommand itself, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            return run(opts, _prepare(args.command, opts, build))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

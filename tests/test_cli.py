@@ -501,7 +501,7 @@ class TestOptions:
         code, _, err = run_cli(capsys, "analyze-memory", "--config", str(cfg), "--t", "5")
         assert code == 0
         keys = [line.split(" = ")[0][2:] for line in err.splitlines() if " = " in line]
-        assert keys == ["a0", "b0", "gamma0", "out", "schedule", "seed"]
+        assert keys == ["a0", "b0", "gamma0", "out", "schedule", "seed", "simulate", "t"]
         assert "# schedule = power_law" in err
 
 
@@ -663,6 +663,38 @@ class TestExitCodes:
         assert "out of memory" in err.strip().splitlines()[-1]
 
 
+class TestDataSources:
+    """--mnist-images/--mnist-labels with any --data-* flag is two sources: exit 1 naming both."""
+
+    RUN = ["--arch", "4-10", "--batch", "5", "--train-count", "10", "--test-count", "10",
+           "--epochs", "1"]
+    ARGV = {
+        "train": RUN,
+        "suite": [*RUN, "--runs", "1"],
+        "eval": ["--checkpoint", "{ckpt}"],
+        "scan-surface": ["--checkpoints", "{ckpt},{ckpt},{ckpt},{ckpt}", "--resolution", "2"],
+    }
+
+    @pytest.mark.parametrize("data", [["--data-train"], ["--data-test"],
+                                      ["--data-train", "--data-test"]],
+                             ids=["train-file", "test-file", "both-files"])
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_mnist_with_a_data_file_exits_1(self, tmp_path, capsys, command, data):
+        images, labels = write_idx_pair(tmp_path, np.zeros((20, 2, 2)), np.arange(20) % 10)
+        flags = data_files(tmp_path, one_hot(np.arange(20) % 10, 10))
+        files = dict(zip(flags[::2], flags[1::2]))
+        save_initial_checkpoint(tmp_path / "c.ckpt", 4, 10)
+        argv = [command, *(a.format(ckpt=tmp_path / "c.ckpt") for a in self.ARGV[command]),
+                "--mnist-images", str(images), "--mnist-labels", str(labels)]
+        assert run_cli(capsys, *argv)[0] == 0  # the MNIST pair alone is a working source
+        code, out, err = run_cli(capsys, *argv, *(a for flag in data for a in (flag, files[flag])))
+        assert (code, out) == (1, "")
+        TestExitCodes.assert_one_error(err)
+        assert err.strip().splitlines()[-1] == (
+            "error: two data sources: give --mnist-images/--mnist-labels "
+            "or --data-train/--data-test, not both")
+
+
 def numeric_keys() -> dict[str, list[str]]:
     """Each subcommand's keys whose values are numbers or lists of numbers."""
     numeric = {"int", "float", "count", "even_count", "momentum", "widths", "epoch_list"}
@@ -681,6 +713,7 @@ CONTRACT_RUNS = {
     "gen-data": ["--n-in", "3", "--n-out", "2", "--count", "8", "--out", "{tmp}/data"],
     "train": [*TINY, "--out", "{tmp}/run"],
     "suite": [*TINY, "--runs", "2"],
+    "eval": ["--data-test", "{run}/test.bin", "--checkpoint", "{run}/final.ckpt"],
     "scan-surface": ["--data-test", "{run}/test.bin", "--resolution", "3", "--checkpoints",
                      ",".join(f"{{run}}/epoch_000{e}.ckpt" for e in range(4))],
     "analyze-memory": ["--t", "5", "--simulate", "100"],
@@ -699,18 +732,20 @@ READ_WITH = {"a0": ["--schedule", "power_law"], "b0": ["--schedule", "power_law"
              "rho": ["--optimizer", "sgdm"]}
 
 
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """A directory with a tiny run's data, checkpoints 0-3 and final.ckpt."""
+    run = tmp_path_factory.mktemp("run")
+    assert main(["gen-data", "--n-in", "3", "--n-out", "2", "--count", "20",
+                 "--out", str(run)]) == 0
+    assert main(["train", *TINY, "--epochs", "3", "--checkpoint-epochs", "0,1,2,3",
+                 "--data-train", str(run / "train.bin"),
+                 "--data-test", str(run / "test.bin"), "--out", str(run)]) == 0
+    return run
+
+
 class TestNumericContract:
     """No number a user types makes a subcommand print a traceback or a warning."""
-
-    @pytest.fixture(scope="class")
-    def run(self, tmp_path_factory):
-        run = tmp_path_factory.mktemp("run")
-        assert main(["gen-data", "--n-in", "3", "--n-out", "2", "--count", "20",
-                     "--out", str(run)]) == 0
-        assert main(["train", *TINY, "--epochs", "3", "--checkpoint-epochs", "0,1,2,3",
-                     "--data-train", str(run / "train.bin"),
-                     "--data-test", str(run / "test.bin"), "--out", str(run)]) == 0
-        return run
 
     def test_every_numeric_key_is_in_the_table(self):
         assert numeric_keys() == {**NUMERIC_KEYS, "eval": []}  # eval reads no number
@@ -743,16 +778,6 @@ TABLE_RUNS = {
 
 class TestCsvLineEnds:
     """Every table ends each of its lines in LF alone, in its file and on stdout."""
-
-    @pytest.fixture(scope="class")
-    def run(self, tmp_path_factory):
-        run = tmp_path_factory.mktemp("run")
-        assert main(["gen-data", "--n-in", "3", "--n-out", "2", "--count", "20",
-                     "--out", str(run)]) == 0
-        assert main(["train", *TINY, "--epochs", "3", "--checkpoint-epochs", "0,1,2,3",
-                     "--data-train", str(run / "train.bin"),
-                     "--data-test", str(run / "test.bin"), "--out", str(run)]) == 0
-        return run
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     @pytest.mark.parametrize("command", list(TABLE_RUNS))
@@ -878,7 +903,7 @@ SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").cho
 
 
 @pytest.mark.parametrize("command, n_flags", [
-    ("gen-data", 5), ("train", 26), ("suite", 27), ("eval", 7), ("scan-surface", 9),
+    ("gen-data", 6), ("train", 26), ("suite", 27), ("eval", 7), ("scan-surface", 9),
     ("analyze-memory", 9),
 ])
 def test_flag_count(command, n_flags):
@@ -892,3 +917,65 @@ def test_readme_flag_table_matches_the_parser(command):
     rows = dict(re.findall(r"^\| `([a-z-]+)` \| `(--[^`]*)` \|$", readme, re.M))
     flags = [s for a in SUBPARSERS[command]._actions if a.dest != "help" for s in a.option_strings]
     assert rows[command].split() == flags
+
+
+# a value for each key a subcommand reads that its CONTRACT_RUNS entry does not pass
+CONFIG_VALUES = {
+    "seed": "1", "optimizer": "adam", "schedule": "power-law", "gamma0": "0.999",
+    "lambda": "0.001", "a0": "2", "b0": "0.5", "rho": "0.5", "eta0": "0.5", "beta": "0.9",
+    "eta_floor": "0.01", "activation": "relu", "loss": "cross-entropy",
+    "metric": "classification", "checkpoint_epochs": "0,1", "optimizers": "rsgd,adam",
+    "mnist_images": "{run}/images", "mnist_labels": "{run}/labels",
+    "data_train": "{run}/train.bin", "data_test": "{run}/test.bin", "out": "{tmp}/out",
+}
+# the other half of a pair of keys, passed as a flag beside the one under test
+PARTNER = {"mnist_images": "mnist_labels", "mnist_labels": "mnist_images",
+           "data_train": "data_test", "data_test": "data_train"}
+NEEDED = {"gen-data": ["n_in", "n_out", "count", "out"], "eval": ["checkpoint"],
+          "scan-surface": ["checkpoints"], "analyze-memory": ["t"]}
+
+
+def flag_of(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestConfigCoverage:
+    """A --config file may hold every key its subcommand reads, needed ones included, and
+    each run echoes every key it reads."""
+
+    @staticmethod
+    def contract_run(command, tmp_path, run):
+        """CONTRACT_RUNS[command] as a {flag: value} dict."""
+        argv = [a.format(tmp=tmp_path, run=run) for a in CONTRACT_RUNS[command]]
+        return dict(zip(argv[::2], argv[1::2]))
+
+    @pytest.mark.parametrize("command, key", [
+        (command, action.dest) for command, sub in SUBPARSERS.items() for action in sub._actions
+        if action.dest not in ("help", "config")])
+    def test_file_value_acts_as_the_flag(self, tmp_path, run, capsys, command, key):
+        given = self.contract_run(command, tmp_path, run)
+        values = {k: v.format(tmp=tmp_path, run=run) for k, v in CONFIG_VALUES.items()}
+        value = given.pop(flag_of(key), None) or values[key]
+        if key in PARTNER:
+            given.setdefault(flag_of(PARTNER[key]), values[PARTNER[key]])
+        base = [a for pair in given.items() for a in pair]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        results = []
+        for source in ([f"{flag_of(key)}={value}"], ["--config", str(cfg)]):
+            code, _, err = run_cli(capsys, command, *base, *source)
+            results.append((code, [line for line in err.splitlines() if " = " in line]))
+        assert results[0] == results[1]
+        assert any(line.startswith(f"# {key} = ") for line in results[1][1])
+        if key in NEEDED.get(command, []):
+            assert results[1][0] == 0
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in NEEDED.items() for key in keys])
+    def test_needed_key_given_nowhere_exits_1(self, tmp_path, run, capsys, command, key):
+        given = self.contract_run(command, tmp_path, run)
+        del given[flag_of(key)]
+        code, out, err = run_cli(capsys, command, *(a for pair in given.items() for a in pair))
+        assert (code, out) == (1, "")
+        assert err.strip().splitlines() == [
+            f"error: the following arguments are required: {flag_of(key)}"]
