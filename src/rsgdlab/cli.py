@@ -56,6 +56,18 @@ def epoch_list(value: str) -> tuple[int, ...]:
     return tuple(int(e) for e in value.split(",") if e != "")
 
 
+def optimizer_list(value: str) -> tuple[str, ...]:
+    """A suite --optimizers value: distinct optimizer names joined by ','."""
+    names = tuple(name(entry.strip()) for entry in value.split(","))
+    for i, entry in enumerate(names):
+        if entry not in OPTIMIZERS:
+            raise argparse.ArgumentTypeError(
+                f"entry {i + 1} of {value!r} is {entry!r}, not one of {', '.join(OPTIMIZERS)}")
+        if entry in names[:i]:
+            raise argparse.ArgumentTypeError(f"{entry!r} is listed twice in {value!r}")
+    return names
+
+
 def at_least(low: int):
     """The argparse type of an integer count that must be >= ``low``."""
     def count(value: str) -> int:
@@ -103,7 +115,7 @@ OPTIONS = {
     "n_in": (None, {"type": at_least(1)}),
     "n_out": (None, {"type": at_least(1)}),
     "count": (None, {"type": even_count, "help": "total examples (half train, half test)"}),
-    "optimizers": (None, {"help": "comma-separated optimizer list"}),
+    "optimizers": (None, {"type": optimizer_list, "help": "comma-separated optimizer list"}),
     "runs": (5, {"type": at_least(1)}),
     "checkpoint": (None, {}),
     "checkpoints": (None, {"help": "4 comma-separated checkpoint paths"}),
@@ -116,7 +128,7 @@ OPTIONS = {
 
 def _config_flags(path, keys) -> list[str]:
     """The --config file as flags; keys that only other subcommands read are dropped."""
-    flags = []
+    values = {}  # key -> (line number, value)
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -128,9 +140,12 @@ def _config_flags(path, keys) -> list[str]:
             key = key.replace("-", "_")
             if key not in OPTIONS:
                 raise UsageError(f"unknown config key {key!r}")
-            if key in keys:
-                flags.append(f"--{key.replace('_', '-')}={value}")
-    return flags
+            if key in values:
+                raise UsageError(f"{path}:{line_no}: config key {key!r} set again "
+                                 f"(first set on line {values[key][0]})")
+            values[key] = line_no, value
+    return [f"--{key.replace('_', '-')}={value}" for key, (_, value) in values.items()
+            if key in keys]
 
 
 def _prepare(command, opts, build):
@@ -192,9 +207,8 @@ def _build_train_config(opts) -> TrainConfig:
 
 
 def _build_suite_configs(opts) -> dict[str, TrainConfig]:
-    names = [o.strip() for o in opts["optimizers"].split(",")] if opts["optimizers"] else None
     return {name: _build_train_config(dict(opts, optimizer=name))
-            for name in names or [opts["optimizer"]]}
+            for name in opts["optimizers"] or [opts["optimizer"]]}
 
 
 def _cmd_gen_data(opts, _) -> int:

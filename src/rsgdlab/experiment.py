@@ -72,8 +72,10 @@ class TrainConfig:
             raise ValueError("eta0 and eta_floor must be positive")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for key in ("epochs", "batch_size", "train_count", "test_count"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         if any(not 0 <= e <= self.epochs for e in self.checkpoint_epochs):
             raise ValueError(f"checkpoint epochs must lie in 0..{self.epochs}")
         if self.train_count is not None and self.train_count % self.batch_size != 0:
@@ -150,6 +152,8 @@ def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
         raise ValueError(f"metric must be one of {METRICS}")
     check_widths(arch, dataset)
     n = len(dataset)
+    if n == 0:
+        raise ValueError("cannot evaluate on a dataset with no examples")
     total = 0.0
     for start in range(0, n, EVAL_CHUNK):
         x = dataset.inputs[start:start + EVAL_CHUNK].T

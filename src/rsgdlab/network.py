@@ -2,9 +2,8 @@
 
 Weights for layer k have shape (n_k, n_{k-1} + 1): the last column is the
 bias, added to the product of the other columns with the previous layer's
-state.  Inputs may be a single vector (n1,) or a batch (n1, B) with examples
-as columns; in the batched case backward() returns the mini-batch average
-gradient.
+state.  Inputs are column batches (n1, B), one example per column, and
+backward() returns the mini-batch average gradient.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ def relu(x, out=None):
 
 
 def softmax(x, out=None):
-    """Column-wise softmax (vector or matrix of column vectors)."""
+    """Column-wise softmax of a column batch."""
     shifted = np.subtract(x, np.max(x, axis=0, keepdims=True), out=out)
     e = np.exp(shifted, out=out)
     return np.divide(e, np.sum(e, axis=0, keepdims=True), out=out)
@@ -119,15 +118,15 @@ def check_params(arch: Architecture, params: list[Matrix]) -> None:
 
 
 def preactivation(w: Matrix, s: Matrix) -> Matrix:
-    """w[:, :-1] @ s plus the bias column w[:, -1]."""
+    """w[:, :-1] @ s plus the bias column w[:, -1:], for a column batch s."""
     h = w[:, :-1] @ s
-    h += w[:, -1] if s.ndim == 1 else w[:, -1:]
+    h += w[:, -1:]
     return h
 
 
 def forward(params: list[Matrix], arch: Architecture, x: Matrix,
             layer1: Matrix | None = None) -> ForwardTrace:
-    """States of every layer for input x.
+    """States of every layer for the column batch x, of shape (arch.n_in, B).
 
     ``layer1``, when given, is the first layer's pre-activation for x,
     already computed by the caller; params[0] is then not applied.  Each
@@ -135,10 +134,11 @@ def forward(params: list[Matrix], arch: Architecture, x: Matrix,
     pass holds one buffer per layer.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != arch.n_in:
-        raise ShapeError(f"input has {x.shape[0]} rows, architecture expects {arch.n_in}")
+    if x.ndim != 2 or x.shape[0] != arch.n_in:
+        # a vector would broadcast each bias column into a matrix
+        raise ShapeError(f"input shape {x.shape} is not a column batch of {arch.n_in} rows")
     check_params(arch, params)
-    if layer1 is not None and layer1.shape != (arch.widths[1],) + x.shape[1:]:
+    if layer1 is not None and layer1.shape != (arch.widths[1], x.shape[1]):
         raise ShapeError(f"layer-1 pre-activation shape {layer1.shape} does not match "
                          f"input shape {x.shape}")
     states = [x]
@@ -169,26 +169,20 @@ def loss(output: Matrix, target: Matrix, kind: str) -> float:
 
 def backward(params: list[Matrix], arch: Architecture, trace: ForwardTrace,
              target: Matrix) -> list[Matrix]:
-    """Gradients of the loss w.r.t. each weight matrix (no learning rate).
-
-    For batched traces (columns = examples) the result is the mean gradient
-    over the batch.
-    """
+    """Gradients of the loss w.r.t. each weight matrix (no learning rate),
+    averaged over the batch's columns."""
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != trace.output.shape:
-        raise ShapeError(f"target shape {target.shape} vs output shape {trace.output.shape}")
-    # A single example is a batch of one column: outer products become
-    # matrix products with one term each, which round identically.
-    columns = [s.reshape(s.shape[0], -1) for s in trace.states]
-    y = columns[-1]
+    y = trace.output
+    if target.shape != y.shape:
+        raise ShapeError(f"target shape {target.shape} vs output shape {y.shape}")
     batch = y.shape[1]
 
-    kappa = y - target.reshape(y.shape)  # dE/dh at the output: softmax + cross-entropy
+    kappa = y - target  # dE/dh at the output: softmax + cross-entropy
     if arch.loss == "quadratic":
         kappa *= y * (1.0 - y)  # quadratic loss through the sigmoid
     grads: list[Matrix] = [None] * len(params)
     for k in range(len(params) - 1, -1, -1):
-        s_prev = columns[k]
+        s_prev = trace.states[k]
         g = np.empty_like(params[k])
         n = arch.widths[k]
         np.matmul(kappa, s_prev.T, out=g[:, :n])

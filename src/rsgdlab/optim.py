@@ -151,9 +151,13 @@ class Nag(Sgdm):
     def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
         _check_congruent(self.accumulated, grads)
         rho = self._rho_at(t_ep)  # lookahead's rho: t has not moved since
-        self.accumulated = [rho * v - eta * g for v, g in zip(self.accumulated, grads)]
+        deltas = [np.multiply(eta, g) for g in grads]
+        for v, d in zip(self.accumulated, deltas):  # v <- rho * v - eta * g, in place
+            v *= rho
+            v -= d
+            np.copyto(d, v)
         self.t += 1
-        return list(self.accumulated)
+        return deltas
 
 
 class Adam:
@@ -172,14 +176,22 @@ class Adam:
         _check_congruent(self.m, grads)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        self.m = [b1 * m + (1 - b1) * g for m, g in zip(self.m, grads)]
-        self.v = [b2 * v + (1 - b2) * g * g for v, g in zip(self.v, grads)]
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        return [
-            -eta * (m / c1) / (np.sqrt(v / c2) + self.eps)
-            for m, v in zip(self.m, self.v)
-        ]
+        deltas = []
+        for m, v, g in zip(self.m, self.v, grads):  # both moments in place
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            d = m / c1
+            d *= -eta
+            scale = v / c2  # the one scratch: sqrt(v / c2) + eps
+            np.sqrt(scale, out=scale)
+            scale += self.eps
+            d /= scale
+            deltas.append(d)
+        return deltas
 
 
 # --- analytic diagnostics ------------------------------------------------

@@ -841,6 +841,33 @@ class TestConfigParsing:
         assert code == 1
         assert err.strip().splitlines()[-1].startswith(f"error: argument {flag}:")
 
+    @pytest.mark.parametrize("value, message", [
+        ("rsgd,sgd", "entry 2 of 'rsgd,sgd' is 'sgd', not one of backprop, rsgd, sgdm, nag, adam"),
+        ("rsgd,rsgd,adam", "'rsgd' is listed twice in 'rsgd,rsgd,adam'"),
+        ("", "entry 1 of '' is '', not one of backprop, rsgd, sgdm, nag, adam"),
+        ("rsgd,", "entry 2 of 'rsgd,' is '', not one of backprop, rsgd, sgdm, nag, adam"),
+    ], ids=["unknown", "repeat", "empty-list", "empty-entry"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_optimizer_list_names_the_entry(self, tmp_path, capsys, value, message, source):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"optimizers = {value}\n")
+        argv = ["--optimizers", value] if source == "flag" else ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "suite", *TOY, "--runs", "1", *argv)
+        assert (code, out) == (1, "")
+        assert err.strip().splitlines() == [f"error: argument --optimizers: {message}"]
+
+    @pytest.mark.parametrize("lines, key", [
+        (["seed = 1", "epochs = 1", "seed = 2"], "seed"),
+        (["eta-floor = 0.1", "# the same key", "eta_floor = 0.2"], "eta_floor"),
+    ])
+    def test_key_set_twice_exits_1(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "train", *TOY, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.strip().splitlines() == [
+            f"error: {cfg}:3: config key {key!r} set again (first set on line 1)"]
+
     @pytest.mark.parametrize("flag, argv", [
         ("--runs", ["suite", "--runs", "0"]),
         ("--resolution", ["scan-surface", "--checkpoints", "a,b,c,d", "--resolution", "1"]),

@@ -80,6 +80,13 @@ class TestEvaluate:
             assert np.isnan(evaluate(params, arch, ds, "mse"))
             assert np.isnan(evaluate(params, arch, ds, "classification_error"))
 
+    @pytest.mark.parametrize("metric", ["mse", "classification_error"])
+    def test_dataset_with_no_examples_rejected(self, metric):
+        arch = net.Architecture([2, 3])
+        ds = LabeledDataset(inputs=np.zeros((0, 2)), targets=np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="cannot evaluate on a dataset with no examples"):
+            evaluate([np.zeros((3, 3))], arch, ds, metric)
+
     def test_argmax_ties_break_low(self):
         assert np.argmax(np.array([0.5, 0.5])) == 0
 
@@ -353,6 +360,13 @@ class TestTrainLoop:
     def test_rho_outside_unit_interval_rejected(self, optimizer, rho):
         with pytest.raises(ValueError, match="rho"):
             toy_config(optimizer=optimizer, rho=rho)
+
+    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("batch_size", -10),
+                                            ("train_count", 0), ("train_count", -50),
+                                            ("test_count", 0), ("test_count", -50)])
+    def test_empty_sizes_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1, got {value}$"):
+            toy_config(**{key: value})
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 1.0, "adaptive"])
     def test_rho_in_unit_interval_or_adaptive_accepted(self, rho):

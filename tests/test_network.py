@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -35,14 +36,15 @@ def finite_difference_grads(params, arch, x, target, h=1e-5):
 
 
 def random_case(arch, seed):
+    """Random weights, and one example as a column batch: x (n_in, 1), target (n_out, 1)."""
     rng = np.random.default_rng(seed)
     params = [rng.standard_normal(s) for s in arch.weight_shapes()]
-    x = rng.standard_normal(arch.n_in)
+    x = rng.standard_normal((arch.n_in, 1))
     if arch.loss == "cross_entropy":
-        target = np.zeros(arch.n_out)
+        target = np.zeros((arch.n_out, 1))
         target[rng.integers(arch.n_out)] = 1.0
     else:
-        target = rng.standard_normal(arch.n_out)
+        target = rng.standard_normal((arch.n_out, 1))
     return params, x, target
 
 
@@ -118,20 +120,20 @@ class TestForward:
     def test_zero_weights_sigmoid_gives_half(self):
         arch = net.Architecture([4, 3, 2])
         params = [np.zeros(s) for s in arch.weight_shapes()]
-        trace = net.forward(params, arch, np.ones(4))
+        trace = net.forward(params, arch, np.ones((4, 1)))
         for s in trace.states[1:]:
             assert np.all(s == 0.5)
 
     def test_zero_weights_relu_hidden_gives_zero(self):
         arch = net.Architecture([4, 3, 2], hidden_activation="relu")
         params = [np.zeros(s) for s in arch.weight_shapes()]
-        trace = net.forward(params, arch, np.ones(4))
+        trace = net.forward(params, arch, np.ones((4, 1)))
         assert np.all(trace.states[1] == 0.0)
 
     def test_scalar_chain_hand_computed(self):
         arch = net.Architecture([1, 1, 1])
         params = [np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])]  # zero bias columns
-        y = net.forward(params, arch, np.zeros(1)).output[0]
+        y = net.forward(params, arch, np.zeros((1, 1))).output[0, 0]
         assert y == pytest.approx(0.6224593312018546, abs=1e-12)
 
     def test_purity(self):
@@ -145,7 +147,16 @@ class TestForward:
         arch = net.Architecture([3, 4, 2])
         params, _, _ = random_case(arch, 1)
         with pytest.raises(ShapeError):
-            net.forward(params, arch, np.zeros(5))
+            net.forward(params, arch, np.zeros((5, 1)))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1, 1)])
+    def test_input_that_is_not_a_column_batch(self, shape):
+        # a vector would otherwise broadcast each bias column into a matrix
+        arch = net.Architecture([3, 4, 2])
+        params, _, _ = random_case(arch, 1)
+        with pytest.raises(ShapeError, match=rf"input shape {re.escape(str(shape))} is not "
+                                             r"a column batch of 3 rows"):
+            net.forward(params, arch, np.zeros(shape))
 
     def test_batched_matches_per_example(self):
         arch = net.Architecture([3, 4, 2])
@@ -154,8 +165,8 @@ class TestForward:
         xs = rng.standard_normal((3, 7))
         batched = net.forward(params, arch, xs).output
         for c in range(7):
-            single = net.forward(params, arch, xs[:, c]).output
-            assert np.allclose(batched[:, c], single, atol=1e-14)
+            single = net.forward(params, arch, xs[:, c:c + 1]).output
+            assert np.allclose(batched[:, c:c + 1], single, atol=1e-14)
 
     def test_given_layer1_preactivation_replaces_first_product(self):
         arch = net.Architecture([3, 4, 2])
@@ -236,13 +247,13 @@ class TestBackward:
         arch = net.Architecture([1, 1, 1])
         w1, w2, v, t = 0.7, -1.3, 0.4, 0.9
         params = [np.array([[w1, 0.0]]), np.array([[w2, 0.0]])]
-        trace = net.forward(params, arch, np.array([v]))
+        trace = net.forward(params, arch, np.array([[v]]))
         s1 = 1 / (1 + np.exp(-w1 * v))
         y = 1 / (1 + np.exp(-w2 * s1))
         common = -(t - y) * y * (1 - y)
         expected_g2 = common * s1
         expected_g1 = common * w2 * s1 * (1 - s1) * v
-        grads = net.backward(params, arch, trace, np.array([t]))
+        grads = net.backward(params, arch, trace, np.array([[t]]))
         assert grads[1][0, 0] == pytest.approx(expected_g2, rel=1e-12)
         assert grads[0][0, 0] == pytest.approx(expected_g1, rel=1e-12)
 
@@ -255,7 +266,8 @@ class TestBackward:
         batch = net.backward(params, arch, net.forward(params, arch, xs), ts)
         accum = [np.zeros_like(w) for w in params]
         for c in range(5):
-            per = net.backward(params, arch, net.forward(params, arch, xs[:, c]), ts[:, c])
+            per = net.backward(params, arch, net.forward(params, arch, xs[:, c:c + 1]),
+                               ts[:, c:c + 1])
             accum = [a + p / 5 for a, p in zip(accum, per)]
         for b, a in zip(batch, accum):
             assert np.allclose(b, a, atol=1e-14)

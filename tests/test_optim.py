@@ -193,7 +193,7 @@ class TestStepState:
         return params, OPTIMIZER_MAKERS[name](params), lambda: [
             rng.standard_normal(w.shape) for w in params]
 
-    @pytest.mark.parametrize("name", ["backprop", "rsgd", "sgdm"])
+    @pytest.mark.parametrize("name", list(OPTIMIZER_MAKERS))
     def test_one_step_and_update_hold_one_accumulator(self, name):
         params, opt, draw = self.setup_step(name)
         opt.step(draw(), 0.1)
@@ -205,8 +205,9 @@ class TestStepState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the deltas, and R-SGD's coins (a byte per weight): no second accumulator
-        assert peak <= 1.5 * sum(w.nbytes for w in params)
+        # the deltas, and R-SGD's coins (a byte per weight): no second accumulator;
+        # Adam adds one layer's scratch for sqrt(v / c2) + eps
+        assert peak <= (2.5 if name == "adam" else 1.5) * sum(w.nbytes for w in params)
 
     @pytest.mark.parametrize("name", list(OPTIMIZER_MAKERS))
     def test_later_steps_leave_returned_deltas_alone(self, name):
