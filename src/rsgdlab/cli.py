@@ -52,8 +52,11 @@ def widths(value: str) -> tuple[int, ...]:
 
 
 def epoch_list(value: str) -> tuple[int, ...]:
-    """A --checkpoint-epochs value: comma-separated epochs."""
-    return tuple(int(e) for e in value.split(",") if e != "")
+    """A --checkpoint-epochs value: comma-separated epochs; an empty value lists none."""
+    entries = [e.strip() for e in value.split(",")] if value.strip() else []
+    if "" in entries:
+        raise argparse.ArgumentTypeError(f"entry {entries.index('') + 1} of {value!r} is empty")
+    return tuple(map(int, entries))
 
 
 def optimizer_list(value: str) -> tuple[str, ...]:
@@ -154,8 +157,11 @@ def _prepare(command, opts, build):
         built = build(opts) if build else None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # a list shows as its flag takes it, so an echoed line reads back through --config
+    shown = {**opts, **{key: ("-" if key == "arch" else ",").join(map(str, value))
+                        for key, value in opts.items() if isinstance(value, tuple)}}
     print(f"# resolved configuration ({command})",
-          *(f"# {key} = {opts[key]}" for key in sorted(opts)), sep="\n", file=sys.stderr)
+          *(f"# {key} = {shown[key]}" for key in sorted(shown)), sep="\n", file=sys.stderr)
     return built
 
 
@@ -189,13 +195,9 @@ def _build_train_config(opts) -> TrainConfig:
     """The run ``opts`` describe; the step sizes and counts it resolves go back into ``opts``."""
     if opts.get("checkpoint_epochs") and not opts["out"]:
         raise UsageError("--checkpoint-epochs needs --out, the directory the checkpoints go to")
-    optimizer = opts["optimizer"]
-    uses_schedule = optimizer == "rsgd" or opts["rho"] == "adaptive"
     config = TrainConfig(
         architecture=net.Architecture(list(opts["arch"]), opts["activation"], loss=opts["loss"]),
-        optimizer=optimizer,
-        schedule=_build_schedule(opts) if uses_schedule else None,
-        rho=opts["rho"] if optimizer in ("sgdm", "nag") else None,
+        optimizer=opts["optimizer"], schedule=_build_schedule(opts), rho=opts["rho"],
         eta0=opts["eta0"], beta=opts["beta"], eta_floor=opts["eta_floor"],
         batch_size=opts["batch"], epochs=opts["epochs"],
         train_count=opts["train_count"], test_count=opts["test_count"],

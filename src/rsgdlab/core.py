@@ -137,11 +137,6 @@ class RngStream:
         ss = np.random.SeedSequence(int(seed), spawn_key=(_stream_key(stream_id),))
         self.gen = np.random.Generator(np.random.PCG64(ss))
 
-    def normal(self, rows: int, cols: int, mean: float = 0.0, std: float = 1.0) -> Matrix:
-        if std < 0:
-            raise ValueError(f"std must be >= 0, got {std}")
-        return mean + std * self.gen.standard_normal((rows, cols))
-
     def bernoulli_matrix(self, p: float, shape) -> np.ndarray:
         """One coin per component, drawn in row-major order."""
         if not 0.0 <= p <= 1.0:

@@ -67,8 +67,8 @@ def generate_teacher_dataset(n_in: int, n_out: int, count: int,
         raise ValueError(f"count must be even (train/test split in half), got {count}")
     if n_in < 1 or n_out < 1:
         raise ValueError("dimensions must be >= 1")
-    w_gen = rng.normal(n_out, n_in)
-    inputs = rng.normal(count, n_in)
+    w_gen = rng.gen.standard_normal((n_out, n_in))
+    inputs = rng.gen.standard_normal((count, n_in))
     targets = sigmoid(inputs @ w_gen.T)
     half = count // 2
     train = LabeledDataset(inputs=inputs[:half], targets=targets[:half])

@@ -41,7 +41,7 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     architecture: net.Architecture
     optimizer: str = "backprop"
-    schedule: Schedule | None = None          # rsgd, or adaptive sgdm/nag
+    schedule: Schedule | None = None          # read only where reads_schedule
     rho: float | str | None = None            # sgdm/nag: momentum value or "adaptive"
     eta0: float | None = None                 # unset: 0.01 for adam, else 0.8
     beta: float = 0.999
@@ -81,17 +81,20 @@ class TrainConfig:
         if self.train_count is not None and self.train_count % self.batch_size != 0:
             raise ValueError(
                 f"batch size {self.batch_size} must divide train count {self.train_count}")
-        if self.optimizer == "rsgd" and self.schedule is None:
-            raise ValueError("rsgd needs a reinforcement schedule")
-        if self.optimizer in ("sgdm", "nag"):
-            if self.rho is None:
-                raise ValueError(f"{self.optimizer} needs rho (a value or 'adaptive')")
-            if self.rho == "adaptive" and self.schedule is None:
-                raise ValueError("adaptive momentum needs a schedule")
+        if self.optimizer in ("sgdm", "nag") and self.rho is None:
+            raise ValueError(f"{self.optimizer} needs rho (a value or 'adaptive')")
+        if self.reads_schedule and self.schedule is None:
+            raise ValueError("rsgd and adaptive momentum need a reinforcement schedule")
         if self.rho not in (None, "adaptive") and not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be 'adaptive' or lie in [0, 1], got {self.rho}")
         if self.dataset_source[0] == "teacher" and self.train_count != self.test_count:
             raise ValueError("teacher datasets are split in half: train_count must equal test_count")
+
+    @property
+    def reads_schedule(self) -> bool:
+        """Whether the run draws on Gamma(t): R-SGD, and momentum with rho 'adaptive'."""
+        return self.optimizer == "rsgd" or (self.optimizer in ("sgdm", "nag")
+                                            and self.rho == "adaptive")
 
 
 @dataclass
@@ -227,7 +230,7 @@ def train(config: TrainConfig,
     eta = max(config.eta0, config.eta_floor)
 
     def gamma_now(t, t_ep):
-        return config.schedule.gamma(t, t_ep) if config.schedule is not None else 0.0
+        return config.schedule.gamma(t, t_ep) if config.reads_schedule else 0.0
 
     checkpoints: dict[int, list[np.ndarray]] = {}
     history: list[MetricsRecord] = []

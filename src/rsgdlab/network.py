@@ -105,10 +105,8 @@ class ForwardTrace:
 
 def init_params(arch: Architecture, rng: RngStream) -> list[Matrix]:
     """Weights i.i.d. normal, mean 0, std 1/sqrt(fan-in)."""
-    return [
-        rng.normal(rows, cols, mean=0.0, std=1.0 / np.sqrt(cols))
-        for rows, cols in arch.weight_shapes()
-    ]
+    return [rng.gen.standard_normal((rows, cols)) * (1.0 / np.sqrt(cols))
+            for rows, cols in arch.weight_shapes()]
 
 
 def check_params(arch: Architecture, params: list[Matrix]) -> None:

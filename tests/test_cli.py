@@ -94,6 +94,13 @@ class TestTrain:
                                             "the directory the checkpoints go to"]
         assert out == ""
 
+    @pytest.mark.parametrize("optimizer", ["backprop", "adam"])
+    def test_adaptive_rho_logs_no_gamma_where_the_optimizer_has_no_momentum(self, capsys,
+                                                                             optimizer):
+        code, out, _ = run_cli(capsys, "train", *TOY, "--optimizer", optimizer, "--rho", "adaptive")
+        assert code == 0
+        assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["0.0", "0.0"]
+
     def test_metrics_to_stdout_without_out(self, capsys):
         code, out, _ = run_cli(capsys, "train", "--arch", "4-6-3",
                                "--optimizer", "backprop", "--eta0", "0.5",
@@ -597,6 +604,12 @@ class TestExitCodes:
         (["train", *TOY, "--optimizer", "sgdm", "--rho", "5"], "rho"),
         (["train", *TOY, "--optimizer", "sgdm", "--rho", "-3"], "rho"),
         (["train", *TOY, "--optimizer", "nag", "--rho", "nan"], "rho"),
+        # checked whichever optimizer runs, including one that ignores the value
+        (["train", *TOY, "--optimizer", "adam", "--gamma0", "5"], "gamma0"),
+        (["train", *TOY, "--optimizer", "backprop", "--rho", "7"], "rho"),
+        (["train", *TOY, "--optimizer", "sgdm", "--rho", "0.5", "--schedule", "power_law",
+          "--a0", "-1"], "a0"),
+        (["suite", *TOY, "--optimizers", "backprop,adam", "--lambda", "-1"], "lambda"),
     ])
     def test_out_of_range_float_exits_1_naming_it(self, capsys, argv, name):
         code, _, err = run_cli(capsys, *argv)
@@ -855,6 +868,47 @@ class TestConfigParsing:
         code, out, err = run_cli(capsys, "suite", *TOY, "--runs", "1", *argv)
         assert (code, out) == (1, "")
         assert err.strip().splitlines() == [f"error: argument --optimizers: {message}"]
+
+    @pytest.mark.parametrize("value, entry", [(",", 1), ("1,,1", 2), ("0,", 2), ("0, ,1", 2)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_checkpoint_epoch_names_the_entry(self, tmp_path, capsys, value, entry,
+                                                    source):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"checkpoint_epochs = {value}\n")
+        argv = ["--checkpoint-epochs", value] if source == "flag" else ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "train", *TOY, "--out", str(tmp_path / "o"), *argv)
+        assert (code, out) == (1, "")
+        assert err.strip().splitlines() == [
+            f"error: argument --checkpoint-epochs: entry {entry} of {value.strip()!r} is empty"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_checkpoint_epochs_value_lists_none(self, tmp_path, capsys, source):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("checkpoint_epochs =\n")
+        argv = ["--checkpoint-epochs", ""] if source == "flag" else ["--config", str(cfg)]
+        code, _, err = run_cli(capsys, "train", *TOY, "--out", str(tmp_path / "o"), *argv)
+        assert code == 0
+        assert "# checkpoint_epochs = " in err.splitlines()
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["final.ckpt", "metrics.csv"]
+
+    @pytest.mark.parametrize("command, lists", [
+        ("train", ["--arch", "4-6-3", "--checkpoint-epochs", "0,1"]),
+        ("suite", ["--arch", "4-6-3", "--optimizers", "backprop,adam"]),
+    ])
+    def test_echoed_lists_read_back_through_config(self, tmp_path, capsys, command, lists):
+        rest = [*TOY[2:], "--out", str(tmp_path / "o")]
+        code, _, err = run_cli(capsys, command, *lists, *rest)
+        assert code == 0
+        echo = [line for line in err.splitlines() if " = " in line]
+        keys = [flag[2:].replace("-", "_") for flag in lists[::2]]
+        listed = [line[2:] for line in echo if line[2:].split(" = ")[0] in keys]
+        assert listed == [f"{key} = {value}" for key, value in zip(keys, lists[1::2])]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("\n".join(listed) + "\n")
+        code, _, again = run_cli(capsys, command, "--config", str(cfg), *rest)
+        assert code == 0
+        assert [line for line in again.splitlines() if " = " in line] == echo
 
     @pytest.mark.parametrize("lines, key", [
         (["seed = 1", "epochs = 1", "seed = 2"], "seed"),

@@ -40,8 +40,8 @@ class TestTeacherDataset:
         # preactivations can be checked without inverting the (saturating)
         # sigmoid on the stored targets.
         rng = RngStream(3, "data-gen")
-        w = rng.normal(1, n_in)
-        v = rng.normal(10_000, n_in)
+        w = rng.gen.standard_normal((1, n_in))
+        v = rng.gen.standard_normal((10_000, n_in))
         preact = v @ w.T
         train, test = generate_teacher_dataset(n_in, 1, 10_000, RngStream(3, "data-gen"))
         expected = sigmoid(preact)

@@ -319,6 +319,24 @@ class TestTrainLoop:
         for w1, w2 in zip(a.params, b.params):
             assert w1.tobytes() == w2.tobytes()
 
+    @pytest.mark.parametrize("optimizer, rho", [("backprop", None), ("adam", None),
+                                                ("sgdm", 0.5), ("nag", 0.5)])
+    def test_gamma_logged_as_zero_where_the_run_does_not_draw_on_it(self, optimizer, rho):
+        cfg = toy_config(optimizer=optimizer, rho=rho, schedule=PowerLawSchedule(1.0, 0.5),
+                         seed=1, epochs=2)
+        assert [r.gamma for r in train(cfg).history] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("optimizer, rho, reads", [
+        ("rsgd", None, True), ("rsgd", 0.5, True), ("sgdm", "adaptive", True),
+        ("nag", "adaptive", True), ("sgdm", 0.5, False), ("nag", 0.0, False),
+        ("backprop", "adaptive", False), ("adam", "adaptive", False), ("backprop", None, False)])
+    def test_reads_schedule(self, optimizer, rho, reads):
+        cfg = toy_config(optimizer=optimizer, rho=rho, schedule=PowerLawSchedule(1.0, 0.5))
+        assert cfg.reads_schedule is reads
+        if reads:  # the same rule refuses such a run without a schedule
+            with pytest.raises(ValueError, match="need a reinforcement schedule"):
+                toy_config(optimizer=optimizer, rho=rho)
+
     def test_trains_on_an_idx_pair(self, tmp_path):
         rng = np.random.default_rng(6)
         images, labels = write_idx_pair(tmp_path, rng.integers(0, 256, (20, 2, 3)),
