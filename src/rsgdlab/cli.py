@@ -52,11 +52,11 @@ def widths(value: str) -> tuple[int, ...]:
 
 
 def epoch_list(value: str) -> tuple[int, ...]:
-    """A --checkpoint-epochs value: comma-separated epochs; an empty value lists none."""
+    """A --checkpoint-epochs value: distinct comma-separated epochs; an empty value lists none."""
     entries = [e.strip() for e in value.split(",")] if value.strip() else []
     if "" in entries:
         raise argparse.ArgumentTypeError(f"entry {entries.index('') + 1} of {value!r} is empty")
-    return tuple(map(int, entries))
+    return _distinct(tuple(map(int, entries)), value)
 
 
 def optimizer_list(value: str) -> tuple[str, ...]:
@@ -66,9 +66,14 @@ def optimizer_list(value: str) -> tuple[str, ...]:
         if entry not in OPTIMIZERS:
             raise argparse.ArgumentTypeError(
                 f"entry {i + 1} of {value!r} is {entry!r}, not one of {', '.join(OPTIMIZERS)}")
-        if entry in names[:i]:
-            raise argparse.ArgumentTypeError(f"{entry!r} is listed twice in {value!r}")
-    return names
+    return _distinct(names, value)
+
+
+def _distinct(entries: tuple, value: str) -> tuple:
+    for i, entry in enumerate(entries):
+        if entry in entries[:i]:
+            raise argparse.ArgumentTypeError(f"'{entry}' is listed twice in {value!r}")
+    return entries
 
 
 def at_least(low: int):
@@ -157,9 +162,9 @@ def _prepare(command, opts, build):
         built = build(opts) if build else None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # a list shows as its flag takes it, so an echoed line reads back through --config
-    shown = {**opts, **{key: ("-" if key == "arch" else ",").join(map(str, value))
-                        for key, value in opts.items() if isinstance(value, tuple)}}
+    # unset keys are left out and lists show as their flags take them: each line reads back
+    shown = {key: ("-" if key == "arch" else ",").join(map(str, v)) if isinstance(v, tuple) else v
+             for key, v in opts.items() if v is not None}
     print(f"# resolved configuration ({command})",
           *(f"# {key} = {shown[key]}" for key in sorted(shown)), sep="\n", file=sys.stderr)
     return built

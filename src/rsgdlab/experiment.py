@@ -41,8 +41,8 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     architecture: net.Architecture
     optimizer: str = "backprop"
-    schedule: Schedule | None = None          # read only where reads_schedule
-    rho: float | str | None = None            # sgdm/nag: momentum value or "adaptive"
+    schedule: Schedule | None = None          # read only where the optimizer draws on it
+    rho: float | str | None = None            # sgdm/nag momentum; see optim.Sgdm
     eta0: float | None = None                 # unset: 0.01 for adam, else 0.8
     beta: float = 0.999
     eta_floor: float | None = None            # unset: 0.001 for adam, else 0.02
@@ -81,20 +81,11 @@ class TrainConfig:
         if self.train_count is not None and self.train_count % self.batch_size != 0:
             raise ValueError(
                 f"batch size {self.batch_size} must divide train count {self.train_count}")
-        if self.optimizer in ("sgdm", "nag") and self.rho is None:
-            raise ValueError(f"{self.optimizer} needs rho (a value or 'adaptive')")
-        if self.reads_schedule and self.schedule is None:
-            raise ValueError("rsgd and adaptive momentum need a reinforcement schedule")
+        _make_optimizer(self, [])  # the optimizer refuses a missing rho or schedule
         if self.rho not in (None, "adaptive") and not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be 'adaptive' or lie in [0, 1], got {self.rho}")
         if self.dataset_source[0] == "teacher" and self.train_count != self.test_count:
             raise ValueError("teacher datasets are split in half: train_count must equal test_count")
-
-    @property
-    def reads_schedule(self) -> bool:
-        """Whether the run draws on Gamma(t): R-SGD, and momentum with rho 'adaptive'."""
-        return self.optimizer == "rsgd" or (self.optimizer in ("sgdm", "nag")
-                                            and self.rho == "adaptive")
 
 
 @dataclass
@@ -229,9 +220,6 @@ def train(config: TrainConfig,
                               RngStream(config.seed, "shuffle"))
     eta = max(config.eta0, config.eta_floor)
 
-    def gamma_now(t, t_ep):
-        return config.schedule.gamma(t, t_ep) if config.reads_schedule else 0.0
-
     checkpoints: dict[int, list[np.ndarray]] = {}
     history: list[MetricsRecord] = []
 
@@ -259,7 +247,7 @@ def train(config: TrainConfig,
                 checkpoints[epoch] = snapshot
             return submit(record, epoch, eta, gamma, train_s, snapshot)
 
-        pending = score(0, eta, gamma_now(0, 0), 0.0)
+        pending = score(0, eta, optimizer.gamma(0), 0.0)
         for epoch in range(1, config.epochs + 1):
             started = time.perf_counter()
             t_ep = epoch - 1  # completed epochs while this one runs
@@ -272,12 +260,11 @@ def train(config: TrainConfig,
                     w += d
             train_s = time.perf_counter() - started
 
-            gamma_logged = gamma_now(optimizer.t, t_ep)
             # epoch-boundary refresh: eta compounds by beta^epoch, floored
             eta = max(eta * config.beta ** epoch, config.eta_floor)
 
             log(pending)  # the previous epoch's record comes first, as does its divergence
-            pending = score(epoch, eta, gamma_logged, train_s)
+            pending = score(epoch, eta, optimizer.gamma(epoch), train_s)
             if not all(np.isfinite(w).all() for w in params):
                 log(pending, diverged=True)
         log(pending)

@@ -2,12 +2,12 @@
 
 Five update rules share one protocol: ``lookahead(params, t_ep)`` is the
 point where this step's gradient is taken (``params`` itself for all but
-Nesterov momentum), and ``step(grads, eta, t_ep)`` consumes the mini-batch
+Nesterov momentum), ``step(grads, eta, t_ep)`` consumes the mini-batch
 gradient there (averaged over the batch) and returns the parameter delta to
-ADD to the weights; no later step writes into it.  The step counter ``t``
-counts mini-batch updates since the start of training, never resetting at
-epoch boundaries; ``t_ep`` counts completed epochs and only matters for the
-exponential-gamma schedule.
+ADD to the weights, which no later step writes into, and ``gamma(t_ep)`` is
+the gamma(t) the next step draws on (0.0 if none does).  The step counter
+``t`` counts mini-batch updates since training began; ``t_ep`` counts
+completed epochs and only matters for the exponential-gamma schedule.
 
 Plain SGD, momentum and the reinforced rule are one recursion on a per-weight
 accumulator, a <- rho * a + g (in place) and delta = -eta * a (:class:`Sgdm`),
@@ -86,19 +86,23 @@ class Sgdm:
     replaces rho by a per-component Bernoulli(gamma(t)) coin.
     """
 
-    def __init__(self, shapes_template: list[Matrix], rho: float | str,
+    def __init__(self, shapes_template: list[Matrix], rho: float | str | None,
                  schedule: Schedule | None = None):
+        if rho is None:
+            raise ValueError(f"{type(self).__name__.lower()} needs rho (a value or 'adaptive')")
         if rho == "adaptive" and schedule is None:
-            raise ValueError("adaptive momentum needs a schedule")
+            raise ValueError("rsgd and adaptive momentum need a reinforcement schedule")
+        self.schedule = schedule if rho == "adaptive" else None  # only rho "adaptive" draws on it
         self.accumulated = _zeros_like(shapes_template)
         self.rho = rho
-        self.schedule = schedule
         self.t = 0
 
+    def gamma(self, t_ep: int) -> float:
+        """gamma(t) of the next step after ``t_ep`` completed epochs; 0.0 if none draws on it."""
+        return 0.0 if self.schedule is None else self.schedule.gamma(self.t, t_ep)
+
     def _rho_at(self, t_ep: int) -> float:
-        if self.rho == "adaptive":
-            return self.schedule.gamma(self.t, t_ep)
-        return float(self.rho)
+        return float(self.rho) if self.schedule is None else self.gamma(t_ep)
 
     def _factor(self, rho: float, shape) -> float | Matrix:
         """What multiplies one layer's accumulated gradient this step."""
@@ -171,6 +175,9 @@ class Adam:
         self.t = 0
 
     lookahead = Sgdm.lookahead
+
+    def gamma(self, t_ep: int) -> float:
+        return 0.0  # no Adam step draws on gamma(t)
 
     def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
         _check_congruent(self.m, grads)

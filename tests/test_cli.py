@@ -508,7 +508,7 @@ class TestOptions:
         code, _, err = run_cli(capsys, "analyze-memory", "--config", str(cfg), "--t", "5")
         assert code == 0
         keys = [line.split(" = ")[0][2:] for line in err.splitlines() if " = " in line]
-        assert keys == ["a0", "b0", "gamma0", "out", "schedule", "seed", "simulate", "t"]
+        assert keys == ["a0", "b0", "gamma0", "schedule", "seed", "simulate", "t"]
         assert "# schedule = power_law" in err
 
 
@@ -536,6 +536,8 @@ class TestExitCodes:
         ["train", "--config", "{cfg}"],
         ["train", "--mnist-images", "images"],
         ["train", "--data-train", "train.bin"],
+        ["train", "--optimizer", "sgdm"],
+        ["suite", "--optimizers", "rsgd,nag"],
         ["eval", "--checkpoint", "{ckpt}"],
         ["scan-surface", "--checkpoints", "a,b,c", "--data-test", "test.bin"],
     ])
@@ -869,17 +871,19 @@ class TestConfigParsing:
         assert (code, out) == (1, "")
         assert err.strip().splitlines() == [f"error: argument --optimizers: {message}"]
 
-    @pytest.mark.parametrize("value, entry", [(",", 1), ("1,,1", 2), ("0,", 2), ("0, ,1", 2)])
+    @pytest.mark.parametrize("value, message", [
+        (",", "entry 1 of ',' is empty"), ("1,,1", "entry 2 of '1,,1' is empty"),
+        ("0,", "entry 2 of '0,' is empty"), ("0, ,1", "entry 2 of '0, ,1' is empty"),
+        ("1,1", "'1' is listed twice in '1,1'"), ("0, 2,1 ,2", "'2' is listed twice in '0, 2,1 ,2'"),
+    ])
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_empty_checkpoint_epoch_names_the_entry(self, tmp_path, capsys, value, entry,
-                                                    source):
+    def test_bad_checkpoint_epoch_names_the_entry(self, tmp_path, capsys, value, message, source):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"checkpoint_epochs = {value}\n")
         argv = ["--checkpoint-epochs", value] if source == "flag" else ["--config", str(cfg)]
         code, out, err = run_cli(capsys, "train", *TOY, "--out", str(tmp_path / "o"), *argv)
         assert (code, out) == (1, "")
-        assert err.strip().splitlines() == [
-            f"error: argument --checkpoint-epochs: entry {entry} of {value.strip()!r} is empty"]
+        assert err.strip().splitlines() == [f"error: argument --checkpoint-epochs: {message}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -892,21 +896,25 @@ class TestConfigParsing:
         assert "# checkpoint_epochs = " in err.splitlines()
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["final.ckpt", "metrics.csv"]
 
-    @pytest.mark.parametrize("command, lists", [
-        ("train", ["--arch", "4-6-3", "--checkpoint-epochs", "0,1"]),
-        ("suite", ["--arch", "4-6-3", "--optimizers", "backprop,adam"]),
+    @pytest.mark.parametrize("command, argv", [
+        ("train", [*TOY, "--checkpoint-epochs", "0,1", "--optimizer", "nag", "--rho", "adaptive",
+                   "--out", "{tmp}/o"]),
+        ("suite", [*TOY, "--runs", "1", "--optimizers", "backprop,adam"]),
+        ("analyze-memory", ["--t", "5", "--simulate", "100"]),
     ])
-    def test_echoed_lists_read_back_through_config(self, tmp_path, capsys, command, lists):
-        rest = [*TOY[2:], "--out", str(tmp_path / "o")]
-        code, _, err = run_cli(capsys, command, *lists, *rest)
+    def test_whole_echo_reads_back_through_config(self, tmp_path, capsys, command, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, _, err = run_cli(capsys, command, *argv)
         assert code == 0
         echo = [line for line in err.splitlines() if " = " in line]
-        keys = [flag[2:].replace("-", "_") for flag in lists[::2]]
-        listed = [line[2:] for line in echo if line[2:].split(" = ")[0] in keys]
-        assert listed == [f"{key} = {value}" for key, value in zip(keys, lists[1::2])]
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("\n".join(listed) + "\n")
-        code, _, again = run_cli(capsys, command, "--config", str(cfg), *rest)
+        # a value, lists included, shows as its flag took it, and an unset key not at all
+        given = {f"# {flag[2:].replace('-', '_')} = {value}"
+                 for flag, value in zip(argv[::2], argv[1::2])}
+        assert given <= set(echo)
+        assert not any(line.endswith(" = None") for line in echo)
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("".join(line.removeprefix("# ") + "\n" for line in echo))
+        code, _, again = run_cli(capsys, command, "--config", str(cfg))
         assert code == 0
         assert [line for line in again.splitlines() if " = " in line] == echo
 

@@ -278,8 +278,8 @@ class TestTrainLoop:
         for a, b in zip(plain.params, degenerate.params):
             assert a.tobytes() == b.tobytes()
 
-    def test_logged_schedules_match_closed_form(self):
-        sched = PowerLawSchedule(1.0, 0.5)
+    @pytest.mark.parametrize("sched", [PowerLawSchedule(1.0, 0.5), ExpGammaSchedule(0.9995, 1e-4)])
+    def test_logged_schedules_match_closed_form(self, sched):
         cfg = toy_config(optimizer="rsgd", schedule=sched, epochs=4)
         result = train(cfg)
         updates_per_epoch = cfg.train_count // cfg.batch_size
@@ -288,8 +288,31 @@ class TestTrainLoop:
             if record.epoch > 0:
                 eta = max(eta * cfg.beta ** record.epoch, cfg.eta_floor)
             assert record.eta == eta
-            assert record.gamma == sched.gamma(record.epoch * updates_per_epoch,
-                                               max(record.epoch - 1, 0))
+            # after e epochs, the gamma the next step draws on: lambda applies to e epochs
+            assert record.gamma == sched.gamma(record.epoch * updates_per_epoch, record.epoch)
+
+    @pytest.mark.parametrize("optimizer, rho, calls_per_step", [
+        ("rsgd", None, 1), ("sgdm", "adaptive", 1), ("nag", "adaptive", 2)])
+    def test_logged_gamma_is_the_next_steps(self, optimizer, rho, calls_per_step):
+        sched = ExpGammaSchedule(0.9995, 1e-4)
+        calls = []  # (t, t_ep, gamma) of every schedule call, in order
+
+        class Recording:
+            def gamma(self, t, t_ep=0):
+                calls.append((t, t_ep, sched.gamma(t, t_ep)))
+                return calls[-1][2]
+
+        cfg = toy_config(optimizer=optimizer, rho=rho, schedule=Recording(), epochs=3)
+        history = train(cfg).history
+        steps = cfg.train_count // cfg.batch_size
+        # one call to log each epoch, then calls_per_step for each of the next epoch's steps
+        stride = 1 + calls_per_step * steps
+        assert len(calls) == stride * cfg.epochs + 1
+        assert all(type(t) is int and type(t_ep) is int for t, t_ep, _ in calls)
+        for record in history[:-1]:
+            logged, first_step = calls[record.epoch * stride:record.epoch * stride + 2]
+            assert logged == first_step == (record.epoch * steps, record.epoch, record.gamma)
+        assert calls[-1] == (cfg.epochs * steps, cfg.epochs, history[-1].gamma)
 
     def test_checkpoints_saved_at_requested_epochs(self):
         result = train(toy_config(checkpoint_epochs=(0, 2, 4)))
@@ -326,14 +349,19 @@ class TestTrainLoop:
                          seed=1, epochs=2)
         assert [r.gamma for r in train(cfg).history] == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("optimizer, rho, reads", [
+    @pytest.mark.parametrize("optimizer, rho, draws", [
         ("rsgd", None, True), ("rsgd", 0.5, True), ("sgdm", "adaptive", True),
         ("nag", "adaptive", True), ("sgdm", 0.5, False), ("nag", 0.0, False),
         ("backprop", "adaptive", False), ("adam", "adaptive", False), ("backprop", None, False)])
-    def test_reads_schedule(self, optimizer, rho, reads):
-        cfg = toy_config(optimizer=optimizer, rho=rho, schedule=PowerLawSchedule(1.0, 0.5))
-        assert cfg.reads_schedule is reads
-        if reads:  # the same rule refuses such a run without a schedule
+    def test_optimizer_gamma_where_the_run_draws_on_it(self, optimizer, rho, draws):
+        sched = ExpGammaSchedule(0.9995, 1e-4)
+        cfg = toy_config(optimizer=optimizer, rho=rho, schedule=sched)
+        opt = experiment._make_optimizer(cfg, [np.zeros((2, 3))])
+        for _ in range(7):
+            opt.step([np.ones((2, 3))], 0.1)
+        expected = [sched.gamma(7, t_ep) if draws else 0.0 for t_ep in (0, 3)]
+        assert [opt.gamma(t_ep) for t_ep in (0, 3)] == expected
+        if draws:  # the optimizer refuses such a run without a schedule
             with pytest.raises(ValueError, match="need a reinforcement schedule"):
                 toy_config(optimizer=optimizer, rho=rho)
 

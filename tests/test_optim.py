@@ -1,3 +1,6 @@
+import importlib
+import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -151,6 +154,29 @@ class TestSgdm:
     def test_each_class_owns_its_step(self, cls):
         # bench/spans.py wraps "<Class>.step" through vars(cls), one span per class
         assert callable(vars(cls).get("step"))
+
+    def test_benchmark_recorder_finds_every_entry_point(self, monkeypatch):
+        # bench/spans.py wraps each "<Class>.step" through vars(cls), one span per class,
+        # and raises TraceError on entering if an entry point it wraps is missing
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read bench/, write nothing there
+        spans = importlib.import_module("spans")
+        with spans.Recorder(spans.load_modules()).installed():
+            assert hasattr(vars(VanillaSgd)["step"], "__wrapped__")
+        assert not any(hasattr(vars(cls)["step"], "__wrapped__")
+                       for cls in (VanillaSgd, Rsgd, Sgdm, Nag, Adam))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda p: Sgdm(p, None), "sgdm needs rho \\(a value or 'adaptive'\\)"),
+        (lambda p: Nag(p, None), "nag needs rho \\(a value or 'adaptive'\\)"),
+        (lambda p: Sgdm(p, "adaptive"), "rsgd and adaptive momentum need a reinforcement schedule"),
+        (lambda p: Nag(p, "adaptive"), "rsgd and adaptive momentum need a reinforcement schedule"),
+        (lambda p: Rsgd(p, None, RngStream(0, "reinforcement")),
+         "rsgd and adaptive momentum need a reinforcement schedule"),
+    ])
+    def test_refuses_a_missing_rho_or_schedule(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(template((2, 3)))
 
     def test_unit_momentum_telescopes(self):
         opt = Sgdm(template((1, 1)), rho=1.0)
