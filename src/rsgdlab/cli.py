@@ -51,12 +51,25 @@ def widths(value: str) -> tuple[int, ...]:
     return tuple(int(w) for w in value.split("-"))
 
 
-def epoch_list(value: str) -> tuple[int, ...]:
-    """A --checkpoint-epochs value: distinct comma-separated epochs; an empty value lists none."""
-    entries = [e.strip() for e in value.split(",")] if value.strip() else []
+def _entries(value: str) -> tuple[str, ...]:
+    """The comma-separated entries of ``value``, stripped; an empty one is refused."""
+    entries = tuple(e.strip() for e in value.split(","))
     if "" in entries:
         raise argparse.ArgumentTypeError(f"entry {entries.index('') + 1} of {value!r} is empty")
-    return _distinct(tuple(map(int, entries)), value)
+    return entries
+
+
+def epoch_list(value: str) -> tuple[int, ...]:
+    """A --checkpoint-epochs value: distinct comma-separated epochs; an empty value lists none."""
+    return _distinct(tuple(map(int, _entries(value))), value) if value.strip() else ()
+
+
+def checkpoint_paths(value: str) -> tuple[str, ...]:
+    """A scan-surface --checkpoints value: 4 comma-separated checkpoint paths."""
+    paths = _entries(value)
+    if len(paths) != 4:
+        raise argparse.ArgumentTypeError(f"needs exactly 4 paths, got {len(paths)}")
+    return paths
 
 
 def optimizer_list(value: str) -> tuple[str, ...]:
@@ -96,7 +109,7 @@ def even_count(value: str) -> int:
 # key -> (default, argparse keywords); the flag is the key with '-' for '_'.
 OPTIONS = {
     "seed": (0, {"type": at_least(0)}),
-    "optimizer": ("rsgd", {"type": name, "choices": OPTIMIZERS}),
+    "optimizer": (None, {"type": name, "choices": OPTIMIZERS, "help": "default rsgd"}),
     "schedule": ("exp_gamma", {"type": name, "choices": ["exp_gamma", "power_law"]}),
     "gamma0": (0.9995, {"type": float}),
     "lambda": (0.0001, {"type": float}),
@@ -126,7 +139,7 @@ OPTIONS = {
     "optimizers": (None, {"type": optimizer_list, "help": "comma-separated optimizer list"}),
     "runs": (5, {"type": at_least(1)}),
     "checkpoint": (None, {}),
-    "checkpoints": (None, {"help": "4 comma-separated checkpoint paths"}),
+    "checkpoints": (None, {"type": checkpoint_paths, "help": "4 comma-separated checkpoint paths"}),
     "resolution": (41, {"type": at_least(2)}),
     "t": (None, {"type": at_least(0), "help": "step at which to evaluate the distribution"}),
     "simulate": (0, {"type": at_least(0),
@@ -202,20 +215,25 @@ def _build_train_config(opts) -> TrainConfig:
         raise UsageError("--checkpoint-epochs needs --out, the directory the checkpoints go to")
     config = TrainConfig(
         architecture=net.Architecture(list(opts["arch"]), opts["activation"], loss=opts["loss"]),
-        optimizer=opts["optimizer"], schedule=_build_schedule(opts), rho=opts["rho"],
+        optimizer=opts["optimizer"] or "rsgd", schedule=_build_schedule(opts), rho=opts["rho"],
         eta0=opts["eta0"], beta=opts["beta"], eta_floor=opts["eta_floor"],
         batch_size=opts["batch"], epochs=opts["epochs"],
         train_count=opts["train_count"], test_count=opts["test_count"],
         seed=opts["seed"], dataset_source=_dataset_source(opts),
         checkpoint_epochs=opts.get("checkpoint_epochs", ()), metric=_metric(opts))
     opts.update((key, getattr(config, key))
-                for key in ("eta0", "eta_floor", "train_count", "test_count"))
+                for key in ("optimizer", "eta0", "eta_floor", "train_count", "test_count"))
     return config
 
 
 def _build_suite_configs(opts) -> dict[str, TrainConfig]:
-    return {name: _build_train_config(dict(opts, optimizer=name))
-            for name in opts["optimizers"] or [opts["optimizer"]]}
+    if opts["optimizers"] and opts["optimizer"]:
+        raise UsageError("two optimizer choices: give --optimizer or --optimizers, not both")
+    if opts["optimizers"]:
+        return {name: _build_train_config(dict(opts, optimizer=name))
+                for name in opts["optimizers"]}
+    config = _build_train_config(opts)  # one optimizer: resolved and echoed as train's are
+    return {config.optimizer: config}
 
 
 def _cmd_gen_data(opts, _) -> int:
@@ -275,9 +293,7 @@ def _cmd_eval(opts, _) -> int:
 
 
 def _cmd_scan_surface(opts, _) -> int:
-    paths = opts["checkpoints"].split(",")
-    if len(paths) != 4:
-        raise UsageError(f"--checkpoints needs exactly 4 paths, got {len(paths)}")
+    paths = opts["checkpoints"]
     loaded = [net.load_checkpoint(p) for p in paths]
     arch = loaded[0][0]
     for path, (other, _) in zip(paths, loaded):

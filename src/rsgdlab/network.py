@@ -195,8 +195,7 @@ def backward(params: list[Matrix], arch: Architecture, trace: ForwardTrace,
 
 # --- checkpoint container ------------------------------------------------
 
-_MAGIC = b"RSGD"
-_VERSION = 1
+_HEADER = b"RSGD\x01\x00\x00\x00"  # the magic, then version 1 as <u4: the only version
 _ACT_CODES = {"sigmoid": 0, "relu": 1, "softmax": 2}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _LOSS_CODES = {"quadratic": 0, "cross_entropy": 1}
@@ -206,8 +205,8 @@ _LOSS_NAMES = {v: k for k, v in _LOSS_CODES.items()}
 def save_checkpoint(path, arch: Architecture, params: list[Matrix]) -> None:
     check_params(arch, params)
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(np.array([_VERSION, len(arch.widths), *arch.widths], "<u4"))
+        f.write(_HEADER)
+        f.write(np.array([len(arch.widths), *arch.widths], "<u4"))
         f.write(np.array([_ACT_CODES[arch.hidden_activation],
                           _ACT_CODES[arch.output_activation],
                           _LOSS_CODES[arch.loss], 1], "u1"))  # 1: the bias flag
@@ -220,16 +219,14 @@ def load_checkpoint(path) -> tuple[Architecture, list[Matrix]]:
 
     Each layer's size is checked against the file before its matrix is
     allocated, and the file is read straight into the final C-contiguous
-    ``<f8`` matrices.  ``ValueError`` on a bad magic, version or code, an
-    output code that does not match the loss, a bias flag other than 1, a
-    short file or trailing bytes.
+    ``<f8`` matrices.  ``ValueError`` on a bad header (magic and version) or
+    code, an output code that does not match the loss, a bias flag other than
+    1, a short file or trailing bytes.
     """
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
+        if f.read(len(_HEADER)) != _HEADER:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        version, n_layers = read_array(f, (2,), "<u4", path).tolist()
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        (n_layers,) = read_array(f, (1,), "<u4", path).tolist()
         widths = read_array(f, (n_layers,), "<u4", path).tolist()
         h_act, o_act, loss_code, bias_flag = read_array(f, (4,), "u1", path).tolist()
         try:

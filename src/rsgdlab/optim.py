@@ -256,14 +256,14 @@ def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
     normalized histogram over lengths 0..t.  Gamma is taken within the first
     epoch (t_ep = 0), as in :func:`memory_length_pmf`.
 
-    The runs are cut at block boundaries into one contiguous part per usable
-    CPU (at most one per block, and at most ``SIM_BLOCK // t``), and the parts
-    are histogrammed on threads (one part on the calling thread).  Each part
+    The runs are split evenly into one contiguous part per usable CPU (at
+    most one per run, and at most ``SIM_BLOCK // t``), and the parts are
+    histogrammed on threads (one part on the calling thread).  Each part
     draws from its own stretch of ``rng`` (:meth:`RngStream.split`) row by
     row, so the coins, the histogram and ``rng``'s state afterwards equal
-    those of one ``(n_runs, t)`` draw, whatever the number of CPUs.  Blocks
-    hold about ``SIM_BLOCK`` coins across all parts together, so memory is
-    O(SIM_BLOCK + t) whatever ``n_runs`` is.
+    those of one ``(n_runs, t)`` draw, whatever the partition.  Each part
+    draws in blocks of ``SIM_BLOCK // (parts * t)`` runs (at least one), so
+    memory is O(SIM_BLOCK + t) whatever ``n_runs`` is.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -271,12 +271,9 @@ def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
         return np.ones(1)  # no coins: every run has length 0
     probs = np.array([schedule.gamma(l) for l in range(1, t + 1)])
     # no more parts than runs of t coins fit in SIM_BLOCK, so memory stays O(SIM_BLOCK + t)
-    cpus = min(usable_cpus(), max(1, SIM_BLOCK // t))
-    rows = max(1, SIM_BLOCK // (cpus * t))
-    blocks = -(-n_runs // rows)
-    n_parts = min(cpus, blocks)
-    edges = [min(n_runs, rows * (j * blocks // n_parts)) for j in range(n_parts + 1)]
-    runs = [b - a for a, b in zip(edges, edges[1:])]
+    n_parts = min(usable_cpus(), n_runs, max(1, SIM_BLOCK // t))
+    rows = max(1, SIM_BLOCK // (n_parts * t))
+    runs = [(j + 1) * n_runs // n_parts - j * n_runs // n_parts for j in range(n_parts)]
     gens = rng.split([r * t for r in runs])
     with submitter(n_parts) as submit:
         counts = sum(f.result() for f in [submit(_trailing_run_counts, gen, probs, r, rows)

@@ -149,6 +149,36 @@ class TestSuite:
         assert code == 1
         assert err.strip().splitlines()[-1].startswith("error: unrecognized arguments")
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--optimizer", "adam", "--optimizers", "rsgd"], ""),
+        (["--optimizer", "adam"], "optimizers = rsgd,nag"),
+        (["--optimizers", "rsgd"], "optimizer = adam"),
+        ([], "optimizer = adam\noptimizers = rsgd"),
+    ], ids=["flags", "optimizers-in-config", "optimizer-in-config", "config"])
+    def test_optimizer_and_optimizers_exit_1(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config + "\n")
+        code, out, err = run_cli(capsys, "suite", *TOY, "--runs", "1", *argv, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.strip().splitlines() == [
+            "error: two optimizer choices: give --optimizer or --optimizers, not both"]
+
+    @pytest.mark.parametrize("argv, ran", [
+        ([], ["rsgd"]), (["--optimizer", "adam"], ["adam"]), (["--config", "{cfg}"], ["adam"]),
+        (["--optimizers", "nag,adam", "--rho", "0.5"], ["nag", "adam"]),
+    ])
+    def test_runs_the_optimizers_it_echoes(self, tmp_path, capsys, monkeypatch, argv, ran):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("optimizer = adam\n")
+        built = {}
+        monkeypatch.setattr(cli, "run_suite", lambda configs, **_: built.update(configs) or [])
+        code, _, err = run_cli(capsys, "suite", *TOY, *(a.format(cfg=cfg) for a in argv))
+        assert code == 0
+        assert [(name, config.optimizer) for name, config in built.items()] == list(zip(ran, ran))
+        echoed = [line for line in err.splitlines() if line.startswith("# optimizer")]
+        assert echoed == ([f"# optimizers = {','.join(ran)}"] if len(ran) > 1
+                          else [f"# optimizer = {ran[0]}"])
+
     def test_checkpoint_epochs_config_key_dropped(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("checkpoint_epochs = 0,1\n")
@@ -314,6 +344,27 @@ class TestEvalAndSurface:
         lines = stdout.strip().splitlines()
         assert lines[0] == "alpha,beta,error"
         assert len(lines) == 1 + 9
+
+    def test_scan_surface_strips_checkpoint_entries(self, trained, capsys):
+        _, data_dir, out = trained
+        ckpts = [str(out / f"epoch_{e:04d}.ckpt") for e in (0, 1, 2, 3)]
+        outputs = [run_cli(capsys, "scan-surface", "--checkpoints", value, "--resolution", "3",
+                           "--data-test", str(data_dir / "test.bin"))[:2]
+                   for value in (",".join(ckpts), " " + ", ".join(ckpts) + " ")]
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("command", ["eval", "scan-surface"])
+    def test_dataset_file_as_checkpoint_exits_2(self, trained, capsys, command):
+        _, data_dir, out = trained
+        test_set = data_dir / "test.bin"  # its magic RSGD-DS starts with a checkpoint's RSGD
+        argv = (["--checkpoint", str(test_set)] if command == "eval" else
+                ["--checkpoints", ",".join([str(out / "final.ckpt")] * 3 + [str(test_set)]),
+                 "--resolution", "2"])
+        code, stdout, err = run_cli(capsys, command, *argv, "--data-test", str(test_set))
+        assert (code, stdout) == (2, "")
+        TestExitCodes.assert_one_error(err)
+        assert err.strip().splitlines()[-1] == (
+            f"error: {test_set}: not a checkpoint file (bad magic)")
 
     def test_scan_surface_on_a_non_finite_corner_exits_2(self, trained, capsys):
         tmp_path, data_dir, out = trained
@@ -886,6 +937,20 @@ class TestConfigParsing:
         assert err.strip().splitlines() == [f"error: argument --checkpoint-epochs: {message}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value, message", [
+        ("a,,c,d", "entry 2 of 'a,,c,d' is empty"), ("a, ,c,d", "entry 2 of 'a, ,c,d' is empty"),
+        (",b,c,d", "entry 1 of ',b,c,d' is empty"), ("a,b,c,", "entry 4 of 'a,b,c,' is empty"),
+        ("a,b,c", "needs exactly 4 paths, got 3"), ("a,b,c,d,e", "needs exactly 4 paths, got 5"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_checkpoints_entry_exits_1(self, tmp_path, capsys, value, message, source):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"checkpoints = {value}\n")
+        argv = ["--checkpoints", value] if source == "flag" else ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "scan-surface", "--data-test", "test.bin", *argv)
+        assert (code, out) == (1, "")
+        assert err.strip().splitlines() == [f"error: argument --checkpoints: {message}"]
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_checkpoint_epochs_value_lists_none(self, tmp_path, capsys, source):
         cfg = tmp_path / "c.cfg"
@@ -1004,6 +1069,7 @@ def test_flag_count(command, n_flags):
 def test_readme_flag_table_matches_the_parser(command):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     rows = dict(re.findall(r"^\| `([a-z-]+)` \| `(--[^`]*)` \|$", readme, re.M))
+    assert sorted(rows) == sorted(SUBPARSERS)  # no row for a subcommand the parser lacks
     flags = [s for a in SUBPARSERS[command]._actions if a.dest != "help" for s in a.option_strings]
     assert rows[command].split() == flags
 

@@ -51,9 +51,16 @@ class TestTeacherDataset:
         assert abs(preact.var() / np.sum(w ** 2) - 1.0) < 0.05
         assert abs(np.sum(w ** 2) / n_in - 1.0) < 0.5
 
-    def test_odd_count_rejected(self):
-        with pytest.raises(ValueError):
-            generate_teacher_dataset(3, 2, 11, RngStream(1, "data-gen"))
+    @pytest.mark.parametrize("n_in, n_out, count, message", [
+        (3, 2, 11, "count must be even"), (0, 2, 10, "dimensions must be >= 1"),
+        (3, 0, 10, "dimensions must be >= 1")])
+    def test_bad_sizes_rejected(self, n_in, n_out, count, message):
+        with pytest.raises(ValueError, match=message):
+            generate_teacher_dataset(n_in, n_out, count, RngStream(1, "data-gen"))
+
+    def test_inputs_and_targets_of_different_counts_rejected(self):
+        with pytest.raises(ValueError, match="the same example count"):
+            LabeledDataset(np.zeros((3, 2)), np.zeros((4, 1)))
 
 
 class TestIdxLoader:

@@ -391,15 +391,18 @@ class TestTrainLoop:
             train(cfg, datasets=(train_set, test_set))
         assert isinstance(excinfo.value.history, list)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            toy_config(batch_size=7)  # does not divide 50
-        with pytest.raises(ValueError):
-            toy_config(optimizer="rsgd")  # missing schedule
-        with pytest.raises(ValueError):
-            toy_config(optimizer="sgdm")  # missing rho
-        with pytest.raises(ValueError):
-            toy_config(optimizer="nonsense")
+    @pytest.mark.parametrize("overrides, message", [
+        ({"batch_size": 7}, "batch size 7 must divide train count 50"),
+        ({"optimizer": "rsgd"}, "need a reinforcement schedule"),
+        ({"optimizer": "sgdm"}, "sgdm needs rho"),
+        ({"optimizer": "nonsense"}, "optimizer must be one of"),
+        ({"dataset_source": ("web",)}, "unknown dataset source 'web'"),
+        ({"metric": "accuracy"}, "metric must be one of"),
+        ({"test_count": 60}, "teacher datasets are split in half"),
+    ])
+    def test_config_validation(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            toy_config(**overrides)
 
     @pytest.mark.parametrize("optimizer", ["sgdm", "nag"])
     @pytest.mark.parametrize("rho", [5.0, -3.0, -0.1, 1.0001, np.nan, np.inf, -np.inf])
@@ -543,6 +546,11 @@ class TestSuite:
         rows = {r.config_id: r for r in run_suite(configs, n_runs=2)}
         assert rows["a"].metric_mean == rows["b"].metric_mean
         assert rows["a"].metric_std == rows["b"].metric_std
+
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    def test_no_runs_rejected(self, n_runs):
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            run_suite({"plain": toy_config(epochs=1)}, n_runs=n_runs)
 
     def test_seeds_are_offset_per_run(self):
         rows = run_suite({"plain": toy_config(epochs=2)}, n_runs=3)

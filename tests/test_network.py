@@ -7,6 +7,7 @@ import pytest
 
 from rsgdlab import network as net
 from rsgdlab.core import RngStream, ShapeError
+from rsgdlab.data import LabeledDataset, save_dataset
 
 
 def gradient_mismatch(analytic, numeric, abs_floor=1e-9):
@@ -88,13 +89,20 @@ class TestActivations:
         got = net.activation(x, kind, out=x)
         assert got is x and np.array_equal(x, expected)
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            net.activation(np.zeros((2, 1)), "tanh")
+
 
 class TestArchitecture:
-    def test_rejects_short_or_empty_layers(self):
-        with pytest.raises(ValueError):
-            net.Architecture([5])
-        with pytest.raises(ValueError):
-            net.Architecture([5, 0, 2])
+    @pytest.mark.parametrize("widths, kwargs, message", [
+        ([5], {}, "need at least 2 layers"), ([5, 0, 2], {}, "need at least 2 layers"),
+        ([5, 2], {"hidden_activation": "tanh"}, "hidden_activation must be one of"),
+        ([5, 2], {"loss": "hinge"}, "loss must be one of"),
+    ])
+    def test_rejects_bad_layers_activation_or_loss(self, widths, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            net.Architecture(widths, **kwargs)
 
     def test_cross_entropy_requires_softmax(self):
         with pytest.raises(ValueError):
@@ -148,6 +156,12 @@ class TestForward:
         params, _, _ = random_case(arch, 1)
         with pytest.raises(ShapeError):
             net.forward(params, arch, np.zeros((5, 1)))
+
+    def test_params_unlike_the_architecture_rejected(self):
+        arch = net.Architecture([3, 4, 2])
+        params, x, _ = random_case(arch, 1)
+        with pytest.raises(ShapeError, match=r"weight shapes \[\(4, 4\), \(5, 2\)\] do not match"):
+            net.forward([params[0], params[1].T], arch, x)
 
     @pytest.mark.parametrize("shape", [(3,), (3, 1, 1)])
     def test_input_that_is_not_a_column_batch(self, shape):
@@ -209,6 +223,14 @@ class TestLoss:
     def test_quadratic_hand_value(self):
         assert net.loss(np.zeros(2), np.ones(2), "quadratic") == 1.0
 
+    @pytest.mark.parametrize("target, kind, error, message", [
+        (np.zeros(3), "quadratic", ShapeError, r"output shape \(2,\) vs target shape \(3,\)"),
+        (np.zeros(2), "hinge", ValueError, "unknown loss 'hinge'"),
+    ])
+    def test_bad_target_or_kind_rejected(self, target, kind, error, message):
+        with pytest.raises(error, match=message):
+            net.loss(np.zeros(2), target, kind)
+
     def test_cross_entropy_floor_guards_log_zero(self):
         value = net.loss(np.array([0.0, 1.0]), np.array([1.0, 0.0]), "cross_entropy")
         assert np.isfinite(value)
@@ -223,6 +245,13 @@ ALL_COMBOS = [
 
 
 class TestBackward:
+    def test_target_unlike_the_output_rejected(self):
+        arch = net.Architecture([3, 4, 2])
+        params, x, _ = random_case(arch, 4)
+        trace = net.forward(params, arch, x)
+        with pytest.raises(ShapeError, match=r"target shape \(2, 3\) vs output shape \(2, 1\)"):
+            net.backward(params, arch, trace, np.zeros((2, 3)))
+
     def test_zero_error_gives_zero_gradients(self):
         arch = net.Architecture([3, 4, 2])
         params, x, _ = random_case(arch, 4)
@@ -285,10 +314,18 @@ class TestCheckpoint:
         for a, b in zip(params, params2):
             assert a.tobytes() == b.tobytes()
 
-    def test_bad_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize("head", [b"NOPE", b"RSGD\x02\x00\x00\x00", b"RSGD\x00\x00\x00\x01"],
+                             ids=["magic", "version-2", "big-endian-version"])
+    def test_bad_magic_rejected(self, tmp_path, head):
         path = tmp_path / "bogus.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
+        path.write_bytes(head + b"\x00" * 64)
+        with pytest.raises(ValueError, match=r"bogus.ckpt: not a checkpoint file \(bad magic\)"):
+            net.load_checkpoint(path)
+
+    def test_dataset_file_rejected(self, tmp_path):
+        path = tmp_path / "train.bin"
+        save_dataset(path, LabeledDataset(np.zeros((3, 2)), np.zeros((3, 1))))
+        with pytest.raises(ValueError, match=r"train.bin: not a checkpoint file \(bad magic\)"):
             net.load_checkpoint(path)
 
     def _saved(self, tmp_path):

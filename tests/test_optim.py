@@ -255,9 +255,12 @@ class TestSgdmUnfold:
         delta = sgdm_unfold([rho] * 3, [g] * 3, [eta] * 3)
         assert delta[0, 0] == pytest.approx(-eta * (rho ** 2 + rho + 1))
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sgdm_unfold([0.5], [np.zeros((1, 1))], [0.1, 0.2])
+    @pytest.mark.parametrize("rhos, grads, etas, message", [
+        ([0.5], [np.zeros((1, 1))], [0.1, 0.2], "must have equal length"),
+        ([], [], [], "need at least one step")])
+    def test_bad_sequences_rejected(self, rhos, grads, etas, message):
+        with pytest.raises(ValueError, match=message):
+            sgdm_unfold(rhos, grads, etas)
 
 
 class TestNag:
@@ -354,6 +357,10 @@ class TestAdam:
 
 
 class TestMemoryLengthPmf:
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            memory_length_pmf(PowerLawSchedule(1.0, 0.5), -1)
+
     def test_zero_length_probability(self):
         sched = PowerLawSchedule(1.0, 0.5)
         for t in (1, 10, 50):
@@ -506,13 +513,19 @@ class TestSimulationParts:
         assert np.array_equal(rng.gen.integers(0, 1000, size=4, dtype=np.uint32),
                               ref.gen.integers(0, 1000, size=4, dtype=np.uint32))
 
-    def test_parts_are_whole_blocks(self, monkeypatch):
-        # 3 CPUs, 2 runs per block: 11 runs make 6 blocks, cut 2 + 2 + 2 blocks
-        monkeypatch.setattr(optim, "usable_cpus", lambda: 3)
-        monkeypatch.setattr(optim, "SIM_BLOCK", 3 * 2 * 5)
-        seen = []
-        split = RngStream.split
+    @pytest.mark.parametrize("cpus, n_runs, runs, rows", [
+        (3, 11, [3, 4, 4], 2), (3, 2, [1, 1], 3), (7, 13, [2, 2, 2, 2, 2, 3], 1),
+        (1, 11, [11], 6)])
+    def test_runs_are_split_evenly(self, monkeypatch, cpus, n_runs, runs, rows):
+        # t = 5 and SIM_BLOCK 30: at most 6 parts, each drawn 30 // (parts * 5) runs at a time
+        monkeypatch.setattr(optim, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(optim, "SIM_BLOCK", 30)
+        seen, blocks = [], set()
+        split, count = RngStream.split, optim._trailing_run_counts
         monkeypatch.setattr(RngStream, "split",
                             lambda self, counts: seen.append(list(counts)) or split(self, counts))
-        simulate_memory_length(PowerLawSchedule(1.0, 0.5), 5, 11, RngStream(0, "reinforcement"))
-        assert seen == [[4 * 5, 4 * 5, 3 * 5]]
+        monkeypatch.setattr(optim, "_trailing_run_counts",
+                            lambda *args: blocks.add(args[-1]) or count(*args))
+        simulate_memory_length(PowerLawSchedule(1.0, 0.5), 5, n_runs, RngStream(0, "reinforcement"))
+        assert seen == [[r * 5 for r in runs]]
+        assert blocks == {rows}

@@ -80,6 +80,12 @@ class TestBilinearInterpolate:
         with pytest.raises(ShapeError):
             bilinear_interpolate(corners[:3] + [bad], 0.5, 0.5)
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_corner_count_other_than_4_rejected(self, small_setup, count):
+        _, corners, _ = small_setup
+        with pytest.raises(ValueError, match=f"need exactly 4 corner configurations, got {count}"):
+            bilinear_interpolate((corners * 2)[:count], 0.5, 0.5)
+
     def test_coefficients_out_of_range(self, small_setup):
         _, corners, _ = small_setup
         with pytest.raises(ValueError):
