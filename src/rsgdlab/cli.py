@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -148,11 +149,14 @@ OPTIONS = {
 
 
 def _config_flags(path, keys) -> list[str]:
-    """The --config file as flags; keys that only other subcommands read are dropped."""
+    """The --config file as flags; keys that only other subcommands read are dropped.
+
+    ``#`` starts a comment at a line's start or after whitespace: ``out = run#1`` keeps it.
+    """
     values = {}  # key -> (line number, value)
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -236,10 +240,12 @@ def _build_suite_configs(opts) -> dict[str, TrainConfig]:
     return {config.optimizer: config}
 
 
+# gen-data, train and suite make their --out directory before they work, so a bad path
+# costs no run; a run that then fails leaves it empty
 def _cmd_gen_data(opts, _) -> int:
+    os.makedirs(opts["out"], exist_ok=True)
     train_set, test_set = data_mod.generate_teacher_dataset(
         opts["n_in"], opts["n_out"], opts["count"], RngStream(opts["seed"], "data-gen"))
-    os.makedirs(opts["out"], exist_ok=True)
     data_mod.save_dataset(os.path.join(opts["out"], "train.bin"), train_set)
     data_mod.save_dataset(os.path.join(opts["out"], "test.bin"), test_set)
     print(f"# wrote {opts['out']}/train.bin ({len(train_set)} examples) and "
@@ -248,9 +254,10 @@ def _cmd_gen_data(opts, _) -> int:
 
 
 def _cmd_train(opts, config) -> int:
-    result = train(config)
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
+    result = train(config)
+    if opts["out"]:
         write_metrics_csv(os.path.join(opts["out"], "metrics.csv"), result.history)
         net.save_checkpoint(os.path.join(opts["out"], "final.ckpt"),
                             config.architecture, result.params)
@@ -264,12 +271,11 @@ def _cmd_train(opts, config) -> int:
 
 
 def _cmd_suite(opts, configs) -> int:
-    rows = run_suite(configs, n_runs=opts["runs"])
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
-        write_aggregate_csv(os.path.join(opts["out"], "aggregate.csv"), rows)
-    else:
-        write_aggregate_csv(sys.stdout, rows)
+    rows = run_suite(configs, n_runs=opts["runs"])
+    write_aggregate_csv(os.path.join(opts["out"], "aggregate.csv") if opts["out"] else sys.stdout,
+                        rows)
     return 0
 
 

@@ -43,9 +43,7 @@ def read_array(f, shape, dtype, path, error: type[ValueError] = ValueError) -> n
     memory once.  ``error`` if the file ends first.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize
-    left = _left(f)
-    if size > left:
-        raise error(f"{path}: truncated file, expected {size} more bytes, {left} left")
+    check_left(f, size, path, error)
     out = np.empty(shape, dtype)
     got = f.readinto(out)
     if got != size:
@@ -53,10 +51,17 @@ def read_array(f, shape, dtype, path, error: type[ValueError] = ValueError) -> n
     return out
 
 
-def check_end(f, path) -> None:
-    """``ValueError`` if binary file ``f`` holds bytes after the current position."""
+def check_left(f, size, path, error: type[ValueError] = ValueError) -> None:
+    """``error`` if binary file ``f`` holds fewer than ``size`` bytes after the current position."""
     left = _left(f)
-    if left:
+    if size > left:
+        raise error(f"{path}: truncated file, expected {size} more bytes, {left} left")
+
+
+def check_end(f, path, size: int = 0) -> None:
+    """``ValueError`` if binary file ``f`` holds bytes after the next ``size`` ones."""
+    left = _left(f) - size
+    if left > 0:
         raise ValueError(f"{path}: {left} unexpected bytes after the payload")
 
 

@@ -6,11 +6,12 @@ arrays); the network consumes transposed slices (examples as columns).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, check_end, read_array
+from .core import RngStream, check_end, check_left, read_array
 from .network import sigmoid
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -82,37 +83,57 @@ def one_hot(labels: np.ndarray, n_classes: int = 10) -> np.ndarray:
     return out
 
 
-def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
-    """An IDX file's payload of unsigned bytes, shaped by its dimension sizes.
+def _idx_dims(f, path, magic: int, n_dims: int) -> list[int]:
+    """The dimension sizes in the header of IDX file ``f``, which its payload must fill.
 
-    Every read is checked against the file size first, so a corrupt header
-    raises IdxTruncatedError without allocating what it claims.
+    The payload of unsigned bytes they declare is checked against the file
+    size, so a corrupt header raises IdxTruncatedError without allocating
+    what it claims, and trailing bytes raise ValueError.
     """
-    with open(path, "rb") as f:
-        (found,) = read_array(f, (1,), ">u4", path, IdxTruncatedError).tolist()
-        if found != magic:
-            raise IdxMagicError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
-        # Python ints, so the payload size of a corrupt header cannot wrap in uint32
-        dims = read_array(f, (n_dims,), ">u4", path, IdxTruncatedError).tolist()
-        payload = read_array(f, dims, np.uint8, path, IdxTruncatedError)
-        check_end(f, path)
-        return payload
+    (found,) = read_array(f, (1,), ">u4", path, IdxTruncatedError).tolist()
+    if found != magic:
+        raise IdxMagicError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    # Python ints, so the payload size of a corrupt header cannot wrap in uint32
+    dims = read_array(f, (n_dims,), ">u4", path, IdxTruncatedError).tolist()
+    size = math.prod(dims)
+    check_left(f, size, path, IdxTruncatedError)
+    check_end(f, path, size)
+    return dims
 
 
-def read_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """The big-endian IDX pair's pixels, one row per image, and labels 0-9, both uint8."""
-    images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
-    count, rows, cols = images.shape
-    if not count:
-        raise IdxError(f"{images_path}: holds no images")
-    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
-    if len(labels) != count:
-        raise IdxError(
-            f"{images_path} has {count} images but {labels_path} has {len(labels)} labels")
-    if labels.max() > 9:
-        i = int(np.argmax(labels > 9))
-        raise IdxError(f"{labels_path}: label {labels[i]} at index {i} is not a digit 0-9")
-    return images.reshape(count, rows * cols), labels
+def read_mnist_idx(images_path, labels_path, pick=None) -> tuple[np.ndarray, np.ndarray]:
+    """The big-endian IDX pair's pixels, one row per image, and labels 0-9, both uint8.
+
+    ``pick(count)``, if given, returns which of the pair's ``count`` images to
+    keep, in the order wanted.  Both headers and every label are checked
+    first; then only the picked rows are read, in file order, so memory is
+    bounded by the picked rows and the labels, not by the image payload.
+    """
+    with open(images_path, "rb") as f:
+        count, rows, cols = _idx_dims(f, images_path, IDX_IMAGES_MAGIC, 3)
+        if not count:
+            raise IdxError(f"{images_path}: holds no images")
+        with open(labels_path, "rb") as g:
+            dims = _idx_dims(g, labels_path, IDX_LABELS_MAGIC, 1)
+            labels = read_array(g, dims, np.uint8, labels_path, IdxTruncatedError)
+        if len(labels) != count:
+            raise IdxError(
+                f"{images_path} has {count} images but {labels_path} has {len(labels)} labels")
+        if labels.max() > 9:
+            i = int(np.argmax(labels > 9))
+            raise IdxError(f"{labels_path}: label {labels[i]} at index {i} is not a digit 0-9")
+        size = rows * cols
+        if pick is None:
+            return read_array(f, (count, size), np.uint8, images_path, IdxTruncatedError), labels
+        picked = pick(count)
+        pixels = np.empty((len(picked), size), np.uint8)
+        start = f.tell()
+        for i in np.argsort(picked):
+            f.seek(start + int(picked[i]) * size)
+            if f.readinto(pixels[i]) != size:
+                raise IdxTruncatedError(f"{images_path}: truncated file, image {picked[i]} "
+                                        f"is cut short")
+        return pixels, labels[picked]
 
 
 def mnist_dataset(pixels: np.ndarray, labels: np.ndarray) -> LabeledDataset:

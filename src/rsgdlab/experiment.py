@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent import futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,11 +100,9 @@ class MetricsRecord:
 
 @dataclass
 class TrainResult:
-    config: TrainConfig
     history: list[MetricsRecord]
     params: list[np.ndarray]
-    checkpoints: dict[int, list[np.ndarray]] = field(default_factory=dict)
-    oracle_calls: int = 0                     # nag: look-ahead gradients, one per step
+    checkpoints: dict[int, list[np.ndarray]]
 
     @property
     def final_test_error(self) -> float:
@@ -169,16 +167,19 @@ def build_datasets(config: TrainConfig) -> tuple[data_mod.LabeledDataset, data_m
         return data_mod.generate_teacher_dataset(
             config.architecture.n_in, config.architecture.n_out,
             2 * config.train_count, rng)
-    if source[0] == "mnist":  # disjoint uniform train and test rows; only those are converted
-        pixels, labels = data_mod.read_mnist_idx(source[1], source[2])
+    if source[0] == "mnist":  # disjoint uniform train and test rows; only those are read
         n_train, n_test = config.train_count, config.test_count
-        if n_train + n_test > len(labels):
-            raise ValueError(f"need {n_train + n_test} examples ({n_train} train + {n_test} test), "
-                             f"dataset has {len(labels)}")
-        picked = RngStream(config.seed, "data-gen").gen.choice(len(labels), n_train + n_test,
-                                                               replace=False)
+
+        def pick(count):
+            if n_train + n_test > count:
+                raise ValueError(f"need {n_train + n_test} examples ({n_train} train + {n_test} "
+                                 f"test), dataset has {count}")
+            return RngStream(config.seed, "data-gen").gen.choice(count, n_train + n_test,
+                                                                 replace=False)
+
+        pixels, labels = data_mod.read_mnist_idx(source[1], source[2], pick)
         return tuple(data_mod.mnist_dataset(pixels[rows], labels[rows])
-                     for rows in (picked[:n_train], picked[n_train:]))
+                     for rows in (slice(n_train), slice(n_train, None)))
     sets = data_mod.load_dataset(source[1]), data_mod.load_dataset(source[2])
     for path, count, dataset in zip(source[1:], (config.train_count, config.test_count), sets):
         if count is not None and count != len(dataset):
@@ -269,9 +270,7 @@ def train(config: TrainConfig,
                 log(pending, diverged=True)
         log(pending)
 
-    return TrainResult(config=config, history=history, params=params,
-                       checkpoints=checkpoints,
-                       oracle_calls=optimizer.t if isinstance(optimizer, Nag) else 0)
+    return TrainResult(history=history, params=params, checkpoints=checkpoints)
 
 
 @dataclass

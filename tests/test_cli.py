@@ -600,6 +600,25 @@ class TestExitCodes:
         assert code == 1
         self.assert_one_error(err)
 
+    @pytest.mark.parametrize("command, argv, work", [
+        ("gen-data", ["--n-in", "2", "--n-out", "1", "--count", "4"],
+         (cli.data_mod, "generate_teacher_dataset")),
+        ("train", TOY, (cli, "train")),
+        ("suite", [*TOY, "--runs", "1"], (cli, "run_suite")),
+    ])
+    def test_out_under_a_file_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                      command, argv, work):
+        def refuse(*_):
+            raise AssertionError(f"{command} worked before making its --out directory")
+
+        monkeypatch.setattr(*work, refuse)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "run"
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+        assert code == 2
+        self.assert_one_error(err)
+        assert str(out) in err.strip().splitlines()[-1]
+
     def test_diverging_train_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         targets = rng.random((50, 3))
@@ -966,6 +985,7 @@ class TestConfigParsing:
                    "--out", "{tmp}/o"]),
         ("suite", [*TOY, "--runs", "1", "--optimizers", "backprop,adam"]),
         ("analyze-memory", ["--t", "5", "--simulate", "100"]),
+        ("gen-data", ["--n-in", "2", "--n-out", "1", "--count", "4", "--out", "{tmp}/run#1"]),
     ])
     def test_whole_echo_reads_back_through_config(self, tmp_path, capsys, command, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
@@ -982,6 +1002,16 @@ class TestConfigParsing:
         code, _, again = run_cli(capsys, command, "--config", str(cfg))
         assert code == 0
         assert [line for line in again.splitlines() if " = " in line] == echo
+
+    @pytest.mark.parametrize("line", ["out = run#1", "out = run#1  # a run with # in its name"])
+    def test_hash_inside_a_value_is_kept(self, tmp_path, capsys, monkeypatch, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(line + "\n")
+        code, _, err = run_cli(capsys, "gen-data", "--n-in", "2", "--n-out", "1", "--count", "4",
+                               "--config", "c.cfg")
+        assert code == 0
+        assert "# out = run#1" in err.splitlines()
+        assert sorted(p.name for p in (tmp_path / "run#1").iterdir()) == ["test.bin", "train.bin"]
 
     @pytest.mark.parametrize("lines, key", [
         (["seed = 1", "epochs = 1", "seed = 2"], "seed"),

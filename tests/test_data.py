@@ -157,6 +157,23 @@ class TestMnistDatasets:
             assert ds.inputs.tobytes() == inputs[rows].tobytes()
             assert ds.targets.tobytes() == targets[rows].tobytes()
 
+    def test_reads_only_the_picked_rows(self, tmp_path):
+        rng = np.random.default_rng(1)  # a 3 MB payload of 4000 images, 40 of them picked
+        paths = write_idx_pair(tmp_path, rng.integers(0, 256, (4000, 28, 28)),
+                               rng.integers(0, 10, 4000))
+        cfg = TrainConfig(net.Architecture([784, 10]), batch_size=10, epochs=1, train_count=20,
+                          test_count=20, seed=0, dataset_source=("mnist", *paths))
+        tracemalloc.start()
+        try:
+            sets = build_datasets(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(ds.inputs.nbytes + ds.targets.nbytes for ds in sets)
+        # besides the datasets: the picked uint8 rows, every label, numpy's 64 KiB buffer
+        # for casting them to float and the two files' read buffers
+        assert peak < kept + 40 * 28 * 28 + 4000 + (128 << 10)
+
     def test_deterministic_per_seed(self, tmp_path):
         _, _, paths = self._pair(tmp_path)
         a, b, c = (build_datasets(mnist_config(*paths, seed)) for seed in (5, 5, 6))

@@ -11,7 +11,7 @@ import pytest
 
 import rsgdlab
 from conftest import write_idx_pair
-from rsgdlab import core, experiment
+from rsgdlab import cli, core, experiment, optim
 from rsgdlab import network as net
 from rsgdlab.core import RngStream, ShapeError
 from rsgdlab.data import LabeledDataset, generate_teacher_dataset, one_hot, save_dataset
@@ -28,6 +28,38 @@ def histories_identical(a, b):
         repr((r.epoch, r.train_error, r.test_error, r.eta, r.gamma))
         == repr((s.epoch, s.train_error, s.test_error, s.eta, s.gamma))
         for r, s in zip(a, b))
+
+
+def train_counting_lookaheads(config):
+    """``train(config)``, and how many times it called ``Nag.lookahead``.
+
+    ``Nag.lookahead`` and ``network.backward`` are wrapped for the run and
+    restored after it.  Each backward pass must get the very list its step's
+    look-ahead returned, so a ``train`` that takes NAG's gradient at any other
+    point fails the assertion here.
+    """
+    lookahead, backward = optim.Nag.lookahead, net.backward
+    point = [None]  # the last look-ahead, until a backward pass takes it
+    counts = {"lookahead": 0, "backward": 0, "backward at the lookahead": 0}
+
+    def counted_lookahead(self, *args):
+        point[0] = lookahead(self, *args)
+        counts["lookahead"] += 1
+        return point[0]
+
+    def checked_backward(params, *args):
+        counts["backward"] += 1
+        counts["backward at the lookahead"] += params is point[0]
+        point[0] = None
+        return backward(params, *args)
+
+    optim.Nag.lookahead, net.backward = counted_lookahead, checked_backward
+    try:
+        result = train(config)
+    finally:
+        optim.Nag.lookahead, net.backward = lookahead, backward
+    assert len(set(counts.values())) == 1, counts
+    return result, counts["lookahead"]
 
 
 def toy_config(**overrides):
@@ -315,10 +347,10 @@ class TestTrainLoop:
         assert calls[-1] == (cfg.epochs * steps, cfg.epochs, history[-1].gamma)
 
     def test_checkpoints_saved_at_requested_epochs(self):
-        result = train(toy_config(checkpoint_epochs=(0, 2, 4)))
+        cfg = toy_config(checkpoint_epochs=(0, 2, 4))
+        result = train(cfg)
         assert sorted(result.checkpoints) == [0, 2, 4]
-        init = net.init_params(result.config.architecture,
-                               RngStream(result.config.seed, "weight-init"))
+        init = net.init_params(cfg.architecture, RngStream(cfg.seed, "weight-init"))
         for a, b in zip(result.checkpoints[0], init):
             assert a.tobytes() == b.tobytes()
 
@@ -378,10 +410,11 @@ class TestTrainLoop:
         assert len(result.history) == 3
         assert all(0.0 <= r.test_error <= 1.0 for r in result.history)
 
-    def test_nag_oracle_calls_counted(self):
+    def test_nag_takes_each_gradient_at_its_steps_lookahead(self):
         cfg = toy_config(optimizer="nag", rho=0.5, epochs=3)
-        result = train(cfg)
-        assert result.oracle_calls == 3 * (cfg.train_count // cfg.batch_size)
+        result, lookaheads = train_counting_lookaheads(cfg)
+        assert lookaheads == 3 * (cfg.train_count // cfg.batch_size)
+        assert histories_identical(result.history, train(cfg).history)
 
     def test_divergence_raises_with_history(self):
         cfg = toy_config(epochs=3)
@@ -506,6 +539,22 @@ class TestPipelinedScoring:
         assert histories_identical(raised[1].history, raised[2].history)
         assert [r.epoch for r in raised[2].history] == [0, 1]
         assert not np.isfinite(raised[2].history[-1].test_error)
+
+    def test_cli_train_scores_off_the_calling_thread(self, monkeypatch, capsys):
+        # the benchmark's environment: one BLAS thread, so a second CPU is free to score on
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        threads = set()
+
+        def recording_evaluate(*args):
+            threads.add(threading.get_ident())
+            return evaluate(*args)
+
+        monkeypatch.setattr(experiment, "evaluate", recording_evaluate)
+        assert cli.main(["train", "--arch", "4-6-3", "--batch", "10", "--train-count", "50",
+                         "--test-count", "50", "--epochs", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+        assert threads and threading.get_ident() not in threads
 
     def test_no_thread_outlives_train(self, monkeypatch):
         monkeypatch.setattr(core, "blas_free_threads", lambda: 2)
