@@ -16,6 +16,7 @@ import argparse
 import os
 import re
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -299,15 +300,17 @@ def _cmd_eval(opts, _) -> int:
 
 
 def _cmd_scan_surface(opts, _) -> int:
-    paths = opts["checkpoints"]
-    loaded = [net.load_checkpoint(p) for p in paths]
-    arch = loaded[0][0]
-    for path, (other, _) in zip(paths, loaded):
-        if other != arch:
-            raise ValueError(f"{path}: {other} differs from {paths[0]}'s {arch}")
-    grid = surface_mod.scan_surface([params for _, params in loaded], opts["resolution"],
-                                    arch, _load_eval_dataset(opts), _metric(opts))
-    surface_mod.write_surface_csv(opts["out"] or sys.stdout, grid)
+    # --out is opened before anything is loaded, so a bad path costs no scan
+    with open(opts["out"], "w", newline="") if opts["out"] else nullcontext(sys.stdout) as out:
+        paths = opts["checkpoints"]
+        loaded = [net.load_checkpoint(p) for p in paths]
+        arch = loaded[0][0]
+        for path, (other, _) in zip(paths, loaded):
+            if other != arch:
+                raise ValueError(f"{path}: {other} differs from {paths[0]}'s {arch}")
+        grid = surface_mod.scan_surface([params for _, params in loaded], opts["resolution"],
+                                        arch, _load_eval_dataset(opts), _metric(opts))
+        surface_mod.write_surface_csv(out, grid)
     if grid.has_failures:
         print("# warning: some grid points failed to evaluate (NaN markers)", file=sys.stderr)
         return 2

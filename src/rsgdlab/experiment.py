@@ -56,6 +56,8 @@ class TrainConfig:
     metric: str = "mse"
 
     def __post_init__(self):
+        if len(self.architecture.widths) < 2:
+            raise ValueError(f"need at least 2 layers to train, got {self.architecture.widths}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.dataset_source[0] not in ("teacher", "mnist", "files"):
@@ -133,13 +135,8 @@ def check_targets(arch: net.Architecture, dataset: data_mod.LabeledDataset, wher
 
 
 def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
-             metric: str, layer1=None) -> float:
-    """Mean error over a dataset; forward passes chunked to bound memory.
-
-    ``layer1``, when given, is the first layer's pre-activation for the whole
-    dataset (examples as columns); each chunk's forward pass uses its slice,
-    and overwrites it with the first layer's state (see ``network.forward``).
-    """
+             metric: str) -> float:
+    """Mean error over a dataset; forward passes chunked to bound memory."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     check_widths(arch, dataset)
@@ -150,8 +147,7 @@ def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
     for start in range(0, n, EVAL_CHUNK):
         x = dataset.inputs[start:start + EVAL_CHUNK].T
         y_true = dataset.targets[start:start + EVAL_CHUNK].T
-        h1 = None if layer1 is None else layer1[:, start:start + EVAL_CHUNK]
-        y = net.forward(params, arch, x, h1).output
+        y = net.forward(params, arch, x).output
         if metric == "mse":
             total += net.loss(y, y_true, "quadratic")
         else:  # argmax would take a NaN output for the predicted class, so such a chunk is NaN

@@ -62,7 +62,10 @@ def _hidden_derivative(s, kind: str):
 
 @dataclass
 class Architecture:
-    """Layer widths plus activation/loss choices; every layer has a bias column."""
+    """Layer widths plus activation/loss choices; every layer has a bias column.
+
+    One width makes a net with no weight layers, whose output is its input.
+    """
 
     widths: list[int]
     hidden_activation: str = "sigmoid"
@@ -70,8 +73,8 @@ class Architecture:
     loss: str = "quadratic"
 
     def __post_init__(self):
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ValueError(f"need at least 2 layers with positive widths, got {self.widths}")
+        if not self.widths or any(w < 1 for w in self.widths):
+            raise ValueError(f"need at least 1 layer with positive widths, got {self.widths}")
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ValueError(f"hidden_activation must be one of {HIDDEN_ACTIVATIONS}")
         if self.loss not in LOSSES:
@@ -122,30 +125,21 @@ def preactivation(w: Matrix, s: Matrix) -> Matrix:
     return h
 
 
-def forward(params: list[Matrix], arch: Architecture, x: Matrix,
-            layer1: Matrix | None = None) -> ForwardTrace:
+def forward(params: list[Matrix], arch: Architecture, x: Matrix) -> ForwardTrace:
     """States of every layer for the column batch x, of shape (arch.n_in, B).
 
-    ``layer1``, when given, is the first layer's pre-activation for x,
-    already computed by the caller; params[0] is then not applied.  Each
-    activation overwrites its pre-activation, layer1 included, so that the
-    pass holds one buffer per layer.
+    Each activation overwrites its pre-activation, so that the pass holds
+    one buffer per layer.  A net of one width has no weights: its output is x.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != arch.n_in:
         # a vector would broadcast each bias column into a matrix
         raise ShapeError(f"input shape {x.shape} is not a column batch of {arch.n_in} rows")
     check_params(arch, params)
-    if layer1 is not None and layer1.shape != (arch.widths[1], x.shape[1]):
-        raise ShapeError(f"layer-1 pre-activation shape {layer1.shape} does not match "
-                         f"input shape {x.shape}")
     states = [x]
     last = len(params) - 1
     for k, w in enumerate(params):
-        if k == 0 and layer1 is not None:
-            h = layer1
-        else:
-            h = preactivation(w, states[-1])
+        h = preactivation(w, states[-1])
         kind = arch.output_activation if k == last else arch.hidden_activation
         states.append(activation(h, kind, out=h))
     return ForwardTrace(states=states)

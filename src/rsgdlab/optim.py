@@ -258,7 +258,7 @@ def simulate_memory_length(schedule: Schedule, t: int, n_runs: int,
 
     The runs are split evenly into one contiguous part per usable CPU (at
     most one per run, and at most ``SIM_BLOCK // t``), and the parts are
-    histogrammed on threads (one part on the calling thread).  Each part
+    histogrammed on threads; with one part, on the calling thread.  Each part
     draws from its own stretch of ``rng`` (:meth:`RngStream.split`) row by
     row, so the coins, the histogram and ``rng``'s state afterwards equal
     those of one ``(n_runs, t)`` draw, whatever the partition.  Each part

@@ -74,7 +74,8 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     The first layer's pre-activation is bilinear in (alpha, beta) too, so it
     is computed once per corner and interpolated like the weights, by the
     same expression (:func:`blend`), with each row's alpha part taken once;
-    only the deeper layers' weights are interpolated.
+    each point activates its blend in place and scores it with the layers
+    above as a net of their own, whose weights alone are interpolated.
 
     The corner products and the points are computed on
     ``core.threads_for(evaluate, resolution)`` threads; with one, on the
@@ -90,12 +91,16 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
     ``has_failures``.
     """
     _check_corners(corners)
+    if not corners[0]:
+        raise ValueError("corners have no weights to interpolate")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     net.check_params(arch, corners[0])
     check_widths(arch, dataset)
     x = dataset.inputs.T
     tails = [c[1:] for c in corners]
+    above = net.Architecture(arch.widths[1:], arch.hidden_activation, loss=arch.loss)
+    first = arch.hidden_activation if tails[0] else arch.output_activation
     alphas = np.linspace(0.0, 1.0, resolution)
     betas = np.linspace(0.0, 1.0, resolution)
     values = np.empty((resolution, resolution))
@@ -103,13 +108,13 @@ def scan_surface(corners, resolution: int, arch: net.Architecture,
 
     def score(alpha, beta):
         try:
-            # forward skips params[0] when layer1 is given, so layer 0 is not interpolated;
-            # the weights come first, so their temporaries are freed before layer1 exists
-            params = [corners[0][0], *bilinear_interpolate(tails, alpha, beta)]
-            layer1 = blend(np.empty_like(top), beta, top, bottom)
+            # the weights come first, so their temporaries are freed before states exists
+            params = bilinear_interpolate(tails, alpha, beta)
+            states = blend(np.empty_like(top), beta, top, bottom)
         finally:
             blended.release()
-        return evaluate(params, arch, dataset, metric, layer1=layer1)
+        net.activation(states, first, out=states)
+        return evaluate(params, above, LabeledDataset(states.T, dataset.targets), metric)
 
     with submitter(threads_for(evaluate, resolution)) as submit:
         h1, h2, h3, h4 = [f.result() for f in [submit(net.preactivation, c[0], x) for c in corners]]

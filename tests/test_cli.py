@@ -588,6 +588,7 @@ class TestExitCodes:
         ["train", "--mnist-images", "images"],
         ["train", "--data-train", "train.bin"],
         ["train", "--optimizer", "sgdm"],
+        ["train", "--arch", "10"],  # a net of one width has no weights to train
         ["suite", "--optimizers", "rsgd,nag"],
         ["eval", "--checkpoint", "{ckpt}"],
         ["scan-surface", "--checkpoints", "a,b,c", "--data-test", "test.bin"],
@@ -605,6 +606,9 @@ class TestExitCodes:
          (cli.data_mod, "generate_teacher_dataset")),
         ("train", TOY, (cli, "train")),
         ("suite", [*TOY, "--runs", "1"], (cli, "run_suite")),
+        # its --out is a file: opened before any checkpoint is loaded, so no point is scored
+        ("scan-surface", ["--checkpoints", "a,b,c,d", "--data-test", "test.bin"],
+         (cli.net, "load_checkpoint")),
     ])
     def test_out_under_a_file_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch,
                                                       command, argv, work):

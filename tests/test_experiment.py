@@ -19,7 +19,7 @@ from rsgdlab.experiment import (DivergenceError, MetricsRecord, SuiteRow,
                                 TrainConfig, build_datasets, evaluate,
                                 run_suite, train, write_aggregate_csv,
                                 write_metrics_csv)
-from rsgdlab.optim import ExpGammaSchedule, PowerLawSchedule
+from rsgdlab.optim import ExpGammaSchedule, PowerLawSchedule, memory_length_pmf
 
 
 def histories_identical(a, b):
@@ -60,6 +60,98 @@ def train_counting_lookaheads(config):
         optim.Nag.lookahead, net.backward = lookahead, backward
     assert len(set(counts.values())) == 1, counts
     return result, counts["lookahead"]
+
+
+def train_recording_memory(config):
+    """``train(config)`` for R-SGD, each step's Γ, its coins' keep count, and each weight's
+    memory length at the end.
+
+    ``Rsgd._factor`` is wrapped for the run and restored after it.  It is called
+    once per layer and step with the step's Γ (one ``schedule.gamma`` call) and
+    returns that layer's coins.  A weight's memory length L counts the steps
+    its accumulator has kept since its last reset: L = (L + 1) * keep, and step
+    0, whose accumulator is still zero, is a reset whatever its coin.
+    """
+    factor = optim.Rsgd._factor
+    gammas, lengths, state = [], [], {"layer": 0, "kept": 0}
+
+    def recording_factor(self, rho, shape):
+        keep = factor(self, rho, shape)
+        if self.t == len(gammas):  # the step's first layer
+            gammas.append(rho)
+            state["layer"] = 0
+        else:
+            state["layer"] += 1
+        state["kept"] += int(np.count_nonzero(keep))
+        if self.t == 0:
+            lengths.append(np.zeros(shape, dtype=np.int64))
+        else:
+            lengths[state["layer"]] = (lengths[state["layer"]] + 1) * keep
+        return keep
+
+    optim.Rsgd._factor = recording_factor
+    try:
+        result = train(config)
+    finally:
+        optim.Rsgd._factor = factor
+    return result, gammas, state["kept"], np.concatenate([L.ravel() for L in lengths])
+
+
+def memory_pmf(gammas):
+    """PMF of the memory length after steps that drew on ``gammas``, one Γ per step.
+
+    Step 0 is forced to a reset; this is ``optim.memory_length_pmf``'s expression.
+    """
+    back = np.array([*gammas[:0:-1], 0.0])  # gamma at step t-L
+    return (1.0 - back) * np.concatenate(([1.0], np.cumprod(back)[:-1]))
+
+
+MEMORY_CALIBRATION_SEEDS = 30
+MEMORY_TV_SDS = 5  # k in TV <= E[TV] + k sd
+
+
+@functools.lru_cache
+def memory_tv_bound(gammas: tuple, n):
+    """E[TV] + k sd of the bare coin simulation's TV from ``memory_pmf(gammas)`` at n runs.
+
+    Each seed simulates n runs of the coins of steps 1.. (step 0 is a reset),
+    drawn with the same Γs, and histograms their trailing runs.
+    """
+    pmf, probs = memory_pmf(gammas), np.array(gammas[1:])
+    rows = max(1, optim.SIM_BLOCK // max(1, len(probs)))
+    tvs = [0.5 * np.abs(optim._trailing_run_counts(np.random.default_rng(seed), probs, n, rows)
+                        / n - pmf).sum() for seed in range(MEMORY_CALIBRATION_SEEDS)]
+    return float(np.mean(tvs) + MEMORY_TV_SDS * np.std(tvs))
+
+
+def memory_law_holds(lengths, gammas, kept):
+    """Whether ``lengths``' histogram passes the TV gate against ``memory_pmf(gammas)``, and
+    ``kept`` kept coins have binomial |z| < 5 at Γs ``gammas`` and ``len(lengths)`` weights."""
+    n, p = len(lengths), np.array(gammas)
+    pmf = memory_pmf(gammas)
+    tv = 0.5 * np.abs(np.bincount(lengths, minlength=len(pmf)) / n - pmf).sum()
+    z = (kept - n * p.sum()) / np.sqrt(n * (p * (1.0 - p)).sum())
+    return tv <= memory_tv_bound(tuple(gammas), n) and abs(z) < 5
+
+
+MEMORY_SCHEDULES = [PowerLawSchedule(1.0, 0.5), ExpGammaSchedule(0.9995, 1e-4),
+                    ExpGammaSchedule(0.99, 1e-2)]
+MEMORY_SCHEDULE_IDS = ["power-law-1-0.5", "exp-gamma-0.9995-1e-4", "exp-gamma-0.99-1e-2"]
+
+
+def check_memory_law_in_training(config):
+    """R-SGD's memory lengths in ``train(config)`` follow the PMF of the Γs its steps drew on,
+    and, for an exp-gamma schedule, not the ``t_ep = 0`` PMF of ``optim.memory_length_pmf``."""
+    _, gammas, kept, lengths = train_recording_memory(config)
+    per_epoch = config.train_count // config.batch_size
+    steps = config.epochs * per_epoch
+    assert gammas == [config.schedule.gamma(t, t // per_epoch) for t in range(steps)]
+    assert len(lengths) == sum(r * c for r, c in config.architecture.weight_shapes())
+    assert memory_law_holds(lengths, gammas, kept)
+    first_epoch = [config.schedule.gamma(t) for t in range(steps)]
+    assert np.array_equal(memory_pmf(first_epoch), memory_length_pmf(config.schedule, steps - 1))
+    holds_at_first_epoch = memory_law_holds(lengths, first_epoch, kept)
+    assert holds_at_first_epoch == isinstance(config.schedule, PowerLawSchedule)
 
 
 def toy_config(**overrides):
@@ -432,6 +524,7 @@ class TestTrainLoop:
         ({"dataset_source": ("web",)}, "unknown dataset source 'web'"),
         ({"metric": "accuracy"}, "metric must be one of"),
         ({"test_count": 60}, "teacher datasets are split in half"),
+        ({"architecture": net.Architecture([4])}, "need at least 2 layers to train"),
     ])
     def test_config_validation(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -486,6 +579,23 @@ def overflowing_test_set(cfg):
     train_set, test_set = build_datasets(cfg)
     test_set.targets[0, 0] = 1e300
     return train_set, test_set
+
+
+class TestMemoryLengthInTraining:
+    """The memory-length law inside real R-SGD training, for exp-gamma's λ too."""
+
+    @pytest.mark.parametrize("schedule", MEMORY_SCHEDULES, ids=MEMORY_SCHEDULE_IDS)
+    def test_small_net(self, schedule):
+        check_memory_law_in_training(TrainConfig(
+            net.Architecture([20, 30, 10]), optimizer="rsgd", schedule=schedule,
+            batch_size=20, epochs=30, train_count=200, test_count=200, seed=2))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("schedule", MEMORY_SCHEDULES, ids=MEMORY_SCHEDULE_IDS)
+    def test_paper_net(self, schedule):
+        check_memory_law_in_training(TrainConfig(
+            net.Architecture([100, 400, 200, 10]), optimizer="rsgd", schedule=schedule,
+            epochs=30, seed=2))
 
 
 class TestPipelinedScoring:

@@ -8,6 +8,7 @@ import pytest
 from rsgdlab import network as net
 from rsgdlab.core import RngStream, ShapeError
 from rsgdlab.data import LabeledDataset, save_dataset
+from rsgdlab.experiment import evaluate
 
 
 def gradient_mismatch(analytic, numeric, abs_floor=1e-9):
@@ -96,13 +97,27 @@ class TestActivations:
 
 class TestArchitecture:
     @pytest.mark.parametrize("widths, kwargs, message", [
-        ([5], {}, "need at least 2 layers"), ([5, 0, 2], {}, "need at least 2 layers"),
+        ([], {}, "need at least 1 layer"), ([5, 0, 2], {}, "need at least 1 layer"),
         ([5, 2], {"hidden_activation": "tanh"}, "hidden_activation must be one of"),
         ([5, 2], {"loss": "hinge"}, "loss must be one of"),
     ])
     def test_rejects_bad_layers_activation_or_loss(self, widths, kwargs, message):
         with pytest.raises(ValueError, match=message):
             net.Architecture(widths, **kwargs)
+
+    @pytest.mark.parametrize("loss", net.LOSSES)
+    def test_one_width_is_the_identity_net(self, loss):
+        arch = net.Architecture([5], loss=loss)
+        assert arch.weight_shapes() == []
+        rng = np.random.default_rng(4)
+        x, target = rng.random((5, 7)), rng.random((5, 7))
+        trace = net.forward([], arch, x)
+        assert len(trace.states) == 1 and trace.output is x
+        assert net.backward([], arch, trace, target) == []
+        ds = LabeledDataset(inputs=x.T, targets=target.T)
+        assert evaluate([], arch, ds, "mse") == net.loss(x, target, "quadratic") / 7
+        with pytest.raises(ShapeError):
+            net.forward([], arch, x[:4])
 
     def test_cross_entropy_requires_softmax(self):
         with pytest.raises(ValueError):
@@ -182,16 +197,17 @@ class TestForward:
             single = net.forward(params, arch, xs[:, c:c + 1]).output
             assert np.allclose(batched[:, c:c + 1], single, atol=1e-14)
 
-    def test_given_layer1_preactivation_replaces_first_product(self):
+    def test_layers_above_layer1_are_a_net_of_their_own(self):
         arch = net.Architecture([3, 4, 2])
         params, _, _ = random_case(arch, 7)
         xs = np.random.default_rng(8).standard_normal((3, 6))
-        h1 = net.preactivation(params[0], xs)
-        given = net.forward(params, arch, xs, h1)
+        above = net.Architecture(arch.widths[1:], arch.hidden_activation, loss=arch.loss)
+        s1 = net.activation(net.preactivation(params[0], xs), arch.hidden_activation)
+        split = net.forward(params[1:], above, s1)
         plain = net.forward(params, arch, xs)
-        assert all(np.array_equal(p, q) for p, q in zip(given.states, plain.states))
+        assert all(np.array_equal(p, q) for p, q in zip(split.states, plain.states[1:]))
         with pytest.raises(ShapeError):
-            net.forward(params, arch, xs, h1[:, :5])
+            net.forward(params[1:], above, s1[:3])
 
     @pytest.mark.parametrize("widths, activation, loss", [
         ([3, 4, 2], "sigmoid", "quadratic"),
@@ -199,16 +215,21 @@ class TestForward:
         ([3, 2], "sigmoid", "quadratic"),
         ([3, 2], "relu", "cross_entropy"),  # layer 1 is the softmax output
     ])
-    def test_given_layer1_becomes_the_first_state(self, widths, activation, loss):
-        # with layer1 given, each activation is taken in place over its pre-activation
+    def test_layer1_state_is_the_first_state_of_the_net_above(self, widths, activation, loss):
+        # the net above takes layer 1's state, activated in place over its
+        # pre-activation, without a copy; a two-width net leaves it a net of one width
         arch = net.Architecture(widths, activation, loss=loss)
         params, _, _ = random_case(arch, 7)
         xs = np.random.default_rng(8).standard_normal((3, 6))
-        h1 = net.preactivation(params[0], xs)
-        given = net.forward(params, arch, xs, h1)
-        assert given.states[1] is h1
+        s1 = net.preactivation(params[0], xs)
+        kind = arch.hidden_activation if len(widths) > 2 else arch.output_activation
+        assert net.activation(s1, kind, out=s1) is s1
+        above = net.Architecture(widths[1:], activation, loss=loss)
+        split = net.forward(params[1:], above, s1)
+        assert split.states[0] is s1
         plain = net.forward(params, arch, xs)
-        assert all(np.array_equal(p, q) for p, q in zip(given.states, plain.states))
+        assert len(split.states) == len(plain.states) - 1
+        assert all(np.array_equal(p, q) for p, q in zip(split.states, plain.states[1:]))
 
 
 class TestLoss:

@@ -23,17 +23,17 @@ def random_corners(arch, seed=0):
 
 
 def record_points(monkeypatch):
-    """Each scanned point's layer-1 pre-activation and weights as bytes, and its thread.
+    """Each scanned point's layer-1 state and the weights above it as bytes, and its thread.
 
     Bytes, because a one-ulp difference there need not reach the error a
     point reports.
     """
     inputs, threads = [], set()
 
-    def recording_evaluate(params, arch, dataset, metric, layer1):
-        inputs.append(b"".join(a.tobytes() for a in (layer1, *params)))
+    def recording_evaluate(params, arch, dataset, metric):
+        inputs.append(b"".join(a.tobytes() for a in (dataset.inputs, *params)))
         threads.add(threading.get_ident())
-        return evaluate(params, arch, dataset, metric, layer1=layer1)
+        return evaluate(params, arch, dataset, metric)
 
     monkeypatch.setattr(surface, "evaluate", recording_evaluate)
     return inputs, threads
@@ -145,13 +145,15 @@ class TestScanSurface:
         rng = np.random.default_rng(2)
         ds = LabeledDataset(inputs=rng.standard_normal((2500, 5)),
                             targets=rng.random((2500, 3)))
+        above = net.Architecture(arch.widths[1:], arch.hidden_activation, loss=arch.loss)
         products = [[net.preactivation(c[0], ds.inputs.T)] for c in corners]
         grid = scan_surface(corners, 7, arch, ds, "mse")
         for i, alpha in enumerate(grid.alphas):
             for j, beta in enumerate(grid.betas):
                 params = bilinear_interpolate(corners, alpha, beta)
                 layer1, = bilinear_interpolate(products, alpha, beta)
-                assert grid.values[i, j] == evaluate(params, arch, ds, "mse", layer1=layer1)
+                states = LabeledDataset(net.sigmoid(layer1).T, ds.targets)
+                assert grid.values[i, j] == evaluate(params[1:], above, states, "mse")
 
     @pytest.mark.parametrize("n_in, n_out, message", [
         (4, 2, "dataset has 4 inputs, architecture expects 3"),
@@ -176,6 +178,12 @@ class TestScanSurface:
         arch, corners, ds = small_setup
         with pytest.raises(ValueError):
             scan_surface(corners, 1, arch, ds)
+
+    def test_weightless_corners_rejected(self):
+        # a net of one width is valid, but leaves the scan nothing to interpolate
+        ds = LabeledDataset(inputs=np.zeros((5, 3)), targets=np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="corners have no weights to interpolate"):
+            scan_surface([[], [], [], []], 2, net.Architecture([3]), ds)
 
     def test_bad_metric_raises(self, small_setup):
         arch, corners, ds = small_setup
