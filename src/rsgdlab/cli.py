@@ -245,8 +245,10 @@ def _build_suite_configs(opts) -> dict[str, TrainConfig]:
 # costs no run; a run that then fails leaves it empty
 def _cmd_gen_data(opts, _) -> int:
     os.makedirs(opts["out"], exist_ok=True)
-    train_set, test_set = data_mod.generate_teacher_dataset(
+    full = data_mod.generate_teacher_dataset(
         opts["n_in"], opts["n_out"], opts["count"], RngStream(opts["seed"], "data-gen"))
+    half = opts["count"] // 2
+    train_set, test_set = full.take(slice(half)), full.take(slice(half, None))
     data_mod.save_dataset(os.path.join(opts["out"], "train.bin"), train_set)
     data_mod.save_dataset(os.path.join(opts["out"], "test.bin"), test_set)
     print(f"# wrote {opts['out']}/train.bin ({len(train_set)} examples) and "

@@ -53,28 +53,22 @@ class LabeledDataset:
     def n_out(self) -> int:
         return self.targets.shape[1]
 
-    def take(self, indices: np.ndarray) -> "LabeledDataset":
+    def take(self, indices) -> "LabeledDataset":  # an index array, or a slice for a view
         return LabeledDataset(self.inputs[indices], self.targets[indices])
 
 
-def generate_teacher_dataset(n_in: int, n_out: int, count: int,
-                             rng: RngStream) -> tuple[LabeledDataset, LabeledDataset]:
-    """Random teacher map y = sigmoid(W_g v); first half train, second half test.
+def generate_teacher_dataset(n_in: int, n_out: int, count: int, rng: RngStream) -> LabeledDataset:
+    """``count`` examples of a random teacher map y = sigmoid(W_g v).
 
     The teacher matrix is drawn once, then all inputs; both i.i.d. standard
-    normal.  The teacher has no bias term.
+    normal.  The teacher has no bias term.  A prefix of the examples does not
+    depend on ``count``, so callers split train from test with :meth:`LabeledDataset.take`.
     """
-    if count % 2 != 0:
-        raise ValueError(f"count must be even (train/test split in half), got {count}")
     if n_in < 1 or n_out < 1:
         raise ValueError("dimensions must be >= 1")
     w_gen = rng.gen.standard_normal((n_out, n_in))
     inputs = rng.gen.standard_normal((count, n_in))
-    targets = sigmoid(inputs @ w_gen.T)
-    half = count // 2
-    train = LabeledDataset(inputs=inputs[:half], targets=targets[:half])
-    test = LabeledDataset(inputs=inputs[half:], targets=targets[half:])
-    return train, test
+    return LabeledDataset(inputs=inputs, targets=sigmoid(inputs @ w_gen.T))
 
 
 def one_hot(labels: np.ndarray, n_classes: int = 10) -> np.ndarray:
@@ -136,14 +130,11 @@ def read_mnist_idx(images_path, labels_path, pick=None) -> tuple[np.ndarray, np.
         return pixels, labels[picked]
 
 
-def mnist_dataset(pixels: np.ndarray, labels: np.ndarray) -> LabeledDataset:
-    """uint8 ``pixels`` scaled to [0,1] and ``labels`` one-hot."""
+def load_mnist_idx(images_path, labels_path, pick=None) -> LabeledDataset:
+    """The IDX pair's examples, or those ``pick`` keeps (see :func:`read_mnist_idx`), with
+    pixels scaled to [0, 1] and labels one-hot: the one place MNIST becomes float64."""
+    pixels, labels = read_mnist_idx(images_path, labels_path, pick)
     return LabeledDataset(inputs=pixels / 255.0, targets=one_hot(labels))
-
-
-def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
-    """Every example of the IDX pair, as :func:`mnist_dataset`."""
-    return mnist_dataset(*read_mnist_idx(images_path, labels_path))
 
 
 class BatchPlan:

@@ -86,8 +86,6 @@ class TrainConfig:
         _make_optimizer(self, [])  # the optimizer refuses a missing rho or schedule
         if self.rho not in (None, "adaptive") and not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be 'adaptive' or lie in [0, 1], got {self.rho}")
-        if self.dataset_source[0] == "teacher" and self.train_count != self.test_count:
-            raise ValueError("teacher datasets are split in half: train_count must equal test_count")
 
 
 @dataclass
@@ -157,30 +155,27 @@ def evaluate(params, arch: net.Architecture, dataset: data_mod.LabeledDataset,
 
 
 def build_datasets(config: TrainConfig) -> tuple[data_mod.LabeledDataset, data_mod.LabeledDataset]:
-    source = config.dataset_source
+    """The two files, else the first ``train_count`` and the rest of one draw of both counts."""
+    source, n_train, n_test = config.dataset_source, config.train_count, config.test_count
+    if source[0] == "files":
+        sets = data_mod.load_dataset(source[1]), data_mod.load_dataset(source[2])
+        for path, count, dataset in zip(source[1:], (n_train, n_test), sets):
+            if count is not None and count != len(dataset):
+                raise ValueError(f"{path} holds {len(dataset)} examples, but its count is {count}")
+        return sets
+    rng = RngStream(config.seed, "data-gen")
     if source[0] == "teacher":
-        rng = RngStream(config.seed, "data-gen")
-        return data_mod.generate_teacher_dataset(
-            config.architecture.n_in, config.architecture.n_out,
-            2 * config.train_count, rng)
-    if source[0] == "mnist":  # disjoint uniform train and test rows; only those are read
-        n_train, n_test = config.train_count, config.test_count
-
+        full = data_mod.generate_teacher_dataset(
+            config.architecture.n_in, config.architecture.n_out, n_train + n_test, rng)
+    else:  # disjoint uniform train and test rows; only those are read
         def pick(count):
             if n_train + n_test > count:
                 raise ValueError(f"need {n_train + n_test} examples ({n_train} train + {n_test} "
                                  f"test), dataset has {count}")
-            return RngStream(config.seed, "data-gen").gen.choice(count, n_train + n_test,
-                                                                 replace=False)
+            return rng.gen.choice(count, n_train + n_test, replace=False)
 
-        pixels, labels = data_mod.read_mnist_idx(source[1], source[2], pick)
-        return tuple(data_mod.mnist_dataset(pixels[rows], labels[rows])
-                     for rows in (slice(n_train), slice(n_train, None)))
-    sets = data_mod.load_dataset(source[1]), data_mod.load_dataset(source[2])
-    for path, count, dataset in zip(source[1:], (config.train_count, config.test_count), sets):
-        if count is not None and count != len(dataset):
-            raise ValueError(f"{path} holds {len(dataset)} examples, but its count is {count}")
-    return sets
+        full = data_mod.load_mnist_idx(source[1], source[2], pick)
+    return full.take(slice(n_train)), full.take(slice(n_train, None))
 
 
 def _make_optimizer(config: TrainConfig, params):

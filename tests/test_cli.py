@@ -11,7 +11,8 @@ from rsgdlab import cli, core, optim
 from rsgdlab import network as net
 from rsgdlab.cli import build_parser, main
 from rsgdlab.core import RngStream
-from rsgdlab.data import LabeledDataset, one_hot, save_dataset
+from rsgdlab.data import LabeledDataset, load_dataset, one_hot, save_dataset
+from rsgdlab.experiment import TrainConfig, build_datasets
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +45,20 @@ class TestGenData:
         assert (tmp_path / "a/train.bin").read_bytes() == (tmp_path / "b/train.bin").read_bytes()
         assert (tmp_path / "a/test.bin").read_bytes() == (tmp_path / "b/test.bin").read_bytes()
 
+    @pytest.mark.parametrize("half, seed", [(10, 0), (25, 7)])
+    def test_files_are_the_split_train_draws(self, tmp_path, capsys, half, seed):
+        # gen-data --count 2N and a teacher run with counts N and N split the same draw
+        code, _, _ = run_cli(capsys, "gen-data", "--n-in", "4", "--n-out", "3",
+                             "--count", str(2 * half), "--seed", str(seed),
+                             "--out", str(tmp_path))
+        assert code == 0
+        config = TrainConfig(net.Architecture([4, 6, 3]), batch_size=5, train_count=half,
+                             test_count=half, seed=seed)
+        for part, drawn in zip(("train", "test"), build_datasets(config)):
+            written = load_dataset(tmp_path / f"{part}.bin")
+            assert written.inputs.tobytes() == drawn.inputs.tobytes()
+            assert written.targets.tobytes() == drawn.targets.tobytes()
+
     def test_odd_count_is_a_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "gen-data", "--n-in", "2", "--n-out", "1",
                                "--count", "3", "--out", str(tmp_path / "d"))
@@ -59,6 +74,12 @@ class TestTrain:
                                "--epochs", "1")
         assert code == 1
         assert "error" in err
+
+    def test_teacher_counts_may_differ(self, capsys):
+        code, out, _ = run_cli(capsys, "train", "--arch", "4-6-3", "--batch", "10",
+                               "--train-count", "50", "--test-count", "30", "--epochs", "1")
+        assert code == 0
+        assert len(out.splitlines()) == 3  # the header, epoch 0 and epoch 1
 
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "train", "--no-such-flag", "1")

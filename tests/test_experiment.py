@@ -321,9 +321,9 @@ class TestBlasDefault:
     def test_run_without_a_variable_is_the_one_thread_run(self, tmp_path):
         # two BLAS threads move the last bits of the paper's net; a child pinned to one CPU
         # scores each epoch and scans the surface on its calling thread, the others on workers
-        for part, dataset in zip(("train", "test"), generate_teacher_dataset(
-                100, 10, 2000, RngStream(1, "data-gen"))):
-            save_dataset(tmp_path / f"{part}.bin", dataset)
+        full = generate_teacher_dataset(100, 10, 2000, RngStream(1, "data-gen"))
+        for part, rows in (("train", slice(1000)), ("test", slice(1000, None))):
+            save_dataset(tmp_path / f"{part}.bin", full.take(rows))
         cpu, one_thread = min(os.sched_getaffinity(0)), self.child_env(OPENBLAS_NUM_THREADS="1")
         runs = {"default": (self.child_env(), None), "one-thread": (one_thread, None),
                 "one-cpu": (one_thread, lambda: os.sched_setaffinity(0, {cpu}))}
@@ -523,12 +523,22 @@ class TestTrainLoop:
         ({"optimizer": "nonsense"}, "optimizer must be one of"),
         ({"dataset_source": ("web",)}, "unknown dataset source 'web'"),
         ({"metric": "accuracy"}, "metric must be one of"),
-        ({"test_count": 60}, "teacher datasets are split in half"),
         ({"architecture": net.Architecture([4])}, "need at least 2 layers to train"),
     ])
     def test_config_validation(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             toy_config(**overrides)
+
+    def test_teacher_counts_may_differ(self):
+        # one draw of 50 + 30 examples: the first 50 train, as the first 50 of 50 + 50 do
+        cfg = toy_config(test_count=30)
+        train_set, test_set = build_datasets(cfg)
+        assert (len(train_set), len(test_set)) == (50, 30)
+        equal_train, _ = build_datasets(toy_config())
+        assert train_set.inputs.tobytes() == equal_train.inputs.tobytes()
+        assert train_set.targets.tobytes() == equal_train.targets.tobytes()
+        result = train(cfg)
+        assert result.final_test_error == evaluate(result.params, cfg.architecture, test_set, "mse")
 
     @pytest.mark.parametrize("optimizer", ["sgdm", "nag"])
     @pytest.mark.parametrize("rho", [5.0, -3.0, -0.1, 1.0001, np.nan, np.inf, -np.inf])
