@@ -9,13 +9,15 @@ the gamma(t) the next step draws on (0.0 if none does).  The step counter
 ``t`` counts mini-batch updates since training began; ``t_ep`` counts
 completed epochs and only matters for the exponential-gamma schedule.
 
-Plain SGD, momentum and the reinforced rule are one recursion on a per-weight
-accumulator, a <- rho * a + g (in place) and delta = -eta * a (:class:`Sgdm`),
-differing only in rho: 0, a fixed or scheduled momentum, or a per-component
-coin that keeps the history with probability gamma(t) and otherwise resets it
-to the current gradient.  So they hold one accumulator per weight, where
-Adam holds two moments.  Coins come from a dedicated stream so that switching
-optimizers never perturbs initialization or data order.
+Every optimizer keeps its per-weight state by one in-place recursion,
+a <- rho * a + x (:class:`Sgdm`).  Plain SGD, momentum and the reinforced rule
+take x = g and delta = -eta * a, differing only in rho: 0, a fixed or scheduled
+momentum, or a per-component coin that keeps the history with probability
+gamma(t) and otherwise resets it to the current gradient.  Nesterov momentum
+takes x = -eta * g and steps by a itself; Adam's first moment is a with
+rho = beta1 and x = (1 - beta1) * g, beside a second moment of its own.  Coins
+come from a dedicated stream so that switching optimizers never perturbs
+initialization or data order.
 """
 
 from __future__ import annotations
@@ -112,14 +114,18 @@ class Sgdm:
         """Where this step's gradient is taken: ``params`` itself, not a copy."""
         return params
 
-    def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
+    def _accumulate(self, grads: list[Matrix], terms, t_ep: int) -> list[Matrix]:
+        """One step of a <- factor * a + term per layer, ``terms`` made one layer at a time."""
         _check_congruent(self.accumulated, grads)
-        rho = self._rho_at(t_ep)
-        for a, g in zip(self.accumulated, grads):  # in place, so no second accumulator
-            a *= self._factor(rho, g.shape)
-            a += g
+        rho = self._rho_at(t_ep)  # for Nag, the rho its lookahead took: t has not moved since
+        for a, term in zip(self.accumulated, terms):  # in place, so no second accumulator
+            a *= self._factor(rho, a.shape)
+            a += term
         self.t += 1
-        return [-eta * a for a in self.accumulated]
+        return self.accumulated
+
+    def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
+        return [-eta * a for a in self._accumulate(grads, grads, t_ep)]
 
 
 class VanillaSgd(Sgdm):
@@ -153,42 +159,26 @@ class Nag(Sgdm):
         return [w + rho * v for w, v in zip(params, self.accumulated)]
 
     def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
-        _check_congruent(self.accumulated, grads)
-        rho = self._rho_at(t_ep)  # lookahead's rho: t has not moved since
-        deltas = [np.multiply(eta, g) for g in grads]
-        for v, d in zip(self.accumulated, deltas):  # v <- rho * v - eta * g, in place
-            v *= rho
-            v -= d
-            np.copyto(d, v)
-        self.t += 1
-        return deltas
+        # v <- rho * v - eta * g is the accumulator's recursion, and v is the step
+        return [v.copy() for v in self._accumulate(grads, (-eta * g for g in grads), t_ep)]
 
 
-class Adam:
-    """Adam with bias-corrected first and second raw moments."""
+class Adam(Sgdm):
+    """Adam with bias-corrected raw moments; the first is Sgdm's accumulator at rho = beta1."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, shapes_template: list[Matrix]):
-        self.m = _zeros_like(shapes_template)
+        super().__init__(shapes_template, self.beta1)
         self.v = _zeros_like(shapes_template)
-        self.t = 0
-
-    lookahead = Sgdm.lookahead
-
-    def gamma(self, t_ep: int) -> float:
-        return 0.0  # no Adam step draws on gamma(t)
 
     def step(self, grads: list[Matrix], eta: float, t_ep: int = 0) -> list[Matrix]:
-        _check_congruent(self.m, grads)
-        self.t += 1
         b1, b2 = self.beta1, self.beta2
+        first = self._accumulate(grads, ((1 - b1) * g for g in grads), t_ep)
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         deltas = []
-        for m, v, g in zip(self.m, self.v, grads):  # both moments in place
-            m *= b1
-            m += (1 - b1) * g
+        for m, v, g in zip(first, self.v, grads):  # the second moment in place
             v *= b2
             v += (1 - b2) * g * g
             d = m / c1

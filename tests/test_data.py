@@ -25,12 +25,6 @@ class TestTeacherDataset:
         assert prefix.inputs.tobytes() == ds.inputs[:120].tobytes()
         assert prefix.targets.tobytes() == ds.targets[:120].tobytes()
 
-    def test_zero_input_maps_to_half(self):
-        # probability-zero event forced analytically: sigmoid(W_g @ 0) = 0.5
-        generate_teacher_dataset(4, 2, 2, RngStream(2, "data-gen"))
-        from rsgdlab.network import sigmoid
-        assert np.all(sigmoid(np.zeros(2)) == 0.5)
-
     def test_regeneration_is_bit_identical(self):
         a = generate_teacher_dataset(6, 4, 50, RngStream(7, "data-gen"))
         b = generate_teacher_dataset(6, 4, 50, RngStream(7, "data-gen"))

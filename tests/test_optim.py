@@ -200,6 +200,9 @@ class TestSgdm:
             assert np.max(np.abs(delta - oracle)) < 1e-10
 
 
+CHANGING_ETAS = (0.3, 0.05, 0.7)  # eta over steps 0-3, 4-7 and 8-11
+
+
 OPTIMIZER_MAKERS = {
     "backprop": VanillaSgd,
     "rsgd": lambda p: Rsgd(p, PowerLawSchedule(1.0, 0.5), RngStream(0, "reinforcement")),
@@ -298,6 +301,27 @@ class TestNag:
             w = [w[0] + delta[0]]
             assert delta[0][0, 0] == pytest.approx(v, rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [0.9, "adaptive"])
+    def test_changing_eta_is_the_hand_recursion_bit_for_bit(self, rho):
+        # v <- rho * v - eta * g and delta = v, where Sgdm steps by -eta * a instead:
+        # the two agree while eta is constant and part once it changes
+        sched = PowerLawSchedule(1.0, 0.5)
+        shapes = ((2, 3), (4, 1))
+        opt = Nag(template(*shapes), rho=rho, schedule=sched)
+        sgdm = Sgdm(template(*shapes), rho=rho, schedule=sched)
+        rng = np.random.default_rng(12)
+        vs = [np.zeros(s) for s in shapes]
+        for k in range(12):
+            eta = CHANGING_ETAS[k // 4]
+            r = sched.gamma(k) if rho == "adaptive" else rho
+            grads = [rng.standard_normal(s) for s in shapes]
+            vs = [r * v - eta * g for v, g in zip(vs, grads)]
+            deltas, sgdm_deltas = opt.step(grads, eta), sgdm.step(grads, eta)
+            assert [d.tobytes() for d in deltas] == [v.tobytes() for v in vs]
+            assert [a.tobytes() for a in opt.accumulated] == [v.tobytes() for v in vs]
+            agree = [np.allclose(d, s, rtol=1e-12, atol=0.0) for d, s in zip(deltas, sgdm_deltas)]
+            assert agree == [k < 4] * len(shapes)
+
 
 class TestLookahead:
     @pytest.mark.parametrize("make", [
@@ -354,6 +378,25 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             expected = -eta * (m / (1 - b1 ** k)) / (np.sqrt(v / (1 - b2 ** k)) + eps)
             assert delta == pytest.approx(expected, abs=1e-12)
+
+    def test_changing_eta_is_the_hand_recursion_bit_for_bit(self):
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        shapes = ((2, 3), (4, 1))
+        opt = Adam(template(*shapes))
+        rng = np.random.default_rng(13)
+        ms = [np.zeros(s) for s in shapes]
+        vs = [np.zeros(s) for s in shapes]
+        for k in range(1, 13):
+            eta = CHANGING_ETAS[(k - 1) // 4]
+            grads = [rng.standard_normal(s) for s in shapes]
+            ms = [b1 * m + (1 - b1) * g for m, g in zip(ms, grads)]
+            vs = [b2 * v + (1 - b2) * g * g for v, g in zip(vs, grads)]
+            c1, c2 = 1.0 - b1 ** k, 1.0 - b2 ** k
+            expected = [m / c1 * -eta / (np.sqrt(v / c2) + eps) for m, v in zip(ms, vs)]
+            deltas = opt.step(grads, eta)
+            assert [d.tobytes() for d in deltas] == [e.tobytes() for e in expected]
+            assert [m.tobytes() for m in opt.accumulated] == [m.tobytes() for m in ms]
+            assert [v.tobytes() for v in opt.v] == [v.tobytes() for v in vs]
 
 
 class TestMemoryLengthPmf:
